@@ -1,9 +1,9 @@
 """Batch frontend: wav -> mel -> wav pipelines plus evaluation reports.
 
-Exit codes: 0 success, 1 usage error (bad flags or arguments), 2 data
-error (unreadable or inconsistent files).  Every run echoes its fully
-resolved configuration to stderr; that echo is a valid config file that
-reproduces the run.
+Exit codes: 0 success, 1 usage error (bad flags, arguments or config
+values), 2 data error (unreadable or inconsistent files).  Every run
+echoes its fully resolved configuration to stderr; that echo is a valid
+config file that reproduces the run.
 """
 
 import argparse
@@ -129,13 +129,15 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    cfg = None
     try:
         cfg = resolve_config(args)
         _echo_config(cfg)
         return args.func(args, cfg)
     except (ValueError, OSError) as exc:
         print(f"glavoc: error: {exc}", file=sys.stderr)
-        return 2
+        # a bad config key or value is a usage error; an unreadable file is not
+        return 1 if cfg is None and isinstance(exc, ValueError) else 2
 
 
 # ------------------------------------------------------------------- commands
@@ -251,8 +253,6 @@ def cmd_evaluate(args, cfg) -> int:
             f"{est_dir}: missing counterparts for {', '.join(missing)}"
         )
     report = EvalReport()
-    if cfg.jobs < 1:
-        raise ValueError("jobs must be >= 1")
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
         results = list(pool.map(
             lambda n: _evaluate_pair(n, ref_dir, est_dir, cfg), names

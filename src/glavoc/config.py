@@ -45,6 +45,15 @@ class RunConfig:
     sigma_no_sqrt: bool = False
     wav_format: str = "float32"
 
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if not self.center:
+            raise ValueError(
+                "center = false is not supported: the periodic Hann window is "
+                "zero at its first sample, so uncentered synthesis is degenerate"
+            )
+
     # -------------------------------------------------------- serialization
 
     def to_text(self) -> str:

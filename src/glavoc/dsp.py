@@ -11,14 +11,19 @@ reflect-padded) signal taken every ``hop`` samples, multiplied by the
 analysis window zero-padded centrally to n_fft, so frame ``t`` is
 centered on sample ``t * hop`` when center padding is on.  All arithmetic
 is double precision.
+
+Both transforms run on a :class:`_StftPlan`, built once per call for one
+(parameters, signal length) pair: the reflect-pad gather index, the
+window restricted to its support, the squared-window normalizer over the
+output region, and one reusable frame buffer.  A projection burst in
+:mod:`glavoc.phase` builds one plan and runs every round on it; plans are
+never cached or shared, so concurrent callers share no state.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import _kernels
 
 DEFAULT_SAMPLE_RATE = 22050
 NORMALIZATION_FLOOR = 1e-10
@@ -160,22 +165,97 @@ class ComplexSpectrogram:
     def magnitude(self) -> np.ndarray:
         return np.abs(self.frames)
 
-    def scaled(self, factor: complex) -> "ComplexSpectrogram":
-        return ComplexSpectrogram(self.frames * factor, self.params, self.origin_length)
+
+def _reflect_index(n: int, pad: int) -> np.ndarray:
+    """Sample indices of an ``n``-sample signal reflect-padded by ``pad``."""
+    if n == 1:
+        return np.zeros(1 + 2 * pad, dtype=np.intp)
+    idx = np.arange(-pad, n + pad)
+    period = 2 * n - 2
+    for edge in (idx[:pad], idx[pad + n:]):    # the middle maps to itself
+        folded = np.abs(edge) % period
+        edge[:] = np.where(folded >= n, period - folded, folded)
+    return idx
 
 
 def _reflect_pad(x: np.ndarray, pad: int) -> np.ndarray:
     """Reflect-pad without repeating edge samples; tolerates pad >= len(x)."""
-    if pad == 0:
-        return x
-    n = x.shape[0]
-    if n == 1:
-        return np.full(n + 2 * pad, x[0], dtype=x.dtype)
-    idx = np.arange(-pad, n + pad)
-    period = 2 * n - 2
-    idx = np.abs(idx) % period
-    idx = np.where(idx >= n, period - idx, idx)
-    return x[idx]
+    return x if pad == 0 else x[_reflect_index(x.shape[0], pad)]
+
+
+class _StftPlan:
+    """Geometry and scratch for transforms of one (params, signal length).
+
+    ``length`` is the signal length analyzed from, or synthesized to, and
+    ``n_frames`` the spectrogram frame count.  Each half is built on its
+    first use: :meth:`analyze` builds the reflect-pad gather index,
+    :meth:`synthesize` the squared-window normalizer.  The frame buffer is
+    shared by both and holds zeros outside the window support between
+    calls.
+    """
+
+    def __init__(self, p: StftParams, length: int, n_frames: int):
+        self.p, self.length, self.n_frames = p, length, n_frames
+        left = (p.n_fft - p.win_length) // 2 if p.center_padding else 0
+        self.support = slice(left, left + p.win_length)
+        self.frames = np.empty((n_frames, p.n_fft))
+        self.frames[:, :left] = 0.0
+        self.frames[:, self.support.stop:] = 0.0
+        self.gather = self.padded = self.norm = None
+
+    def _build_norm(self) -> np.ndarray:
+        """Squared-window overlap-add sum over the output region."""
+        wsq = self.p.window * self.p.window
+        norm = self._overlap_add(np.broadcast_to(wsq, (self.n_frames, wsq.shape[0])))
+        if norm.min() < NORMALIZATION_FLOOR:
+            raise ValueError(
+                "degenerate synthesis normalization: squared-window sum below "
+                f"{NORMALIZATION_FLOOR} inside the output region"
+            )
+        return norm
+
+    def _overlap_add(self, frames: np.ndarray) -> np.ndarray:
+        """Sum support-wide frames at their hop offsets; return the output region.
+
+        Frame k's support starts at sample k*hop + support.start, so the
+        sum is ceil(win/hop) shifted adds of (frames, hop) blocks, the last
+        one possibly narrower.  Blocks go from the last to the first, which
+        adds each sample's terms in increasing frame order.
+        """
+        p, hop, n = self.p, self.p.hop, self.n_frames
+        n_blocks = -(-p.win_length // hop)
+        start = self.support.start
+        acc = np.zeros(max((n - 1) * hop + p.n_fft, start + (n + n_blocks - 1) * hop))
+        grid = acc[start:start + (n + n_blocks - 1) * hop].reshape(-1, hop)
+        for j in range(n_blocks - 1, -1, -1):
+            block = frames[:, j * hop:(j + 1) * hop]
+            grid[j:j + n, :block.shape[1]] += block
+        return acc[p.pad_amount:p.pad_amount + self.length]
+
+    def analyze(self, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """One-sided spectrum of the windowed frames of ``x`` (into ``out``)."""
+        p = self.p
+        if self.gather is None:
+            self.gather = _reflect_index(self.length, p.pad_amount)
+            self.padded = np.empty((self.n_frames - 1) * p.hop + p.n_fft)
+            self.padded[self.gather.shape[0]:] = 0.0
+        np.take(x, self.gather, out=self.padded[:self.gather.shape[0]])
+        windows = np.lib.stride_tricks.sliding_window_view(
+            self.padded[self.support.start:], p.win_length)[::p.hop][:self.n_frames]
+        np.multiply(windows, p.window, out=self.frames[:, self.support])
+        return np.fft.rfft(self.frames, n=p.n_fft, axis=1, out=out)
+
+    def synthesize(self, X: np.ndarray) -> np.ndarray:
+        """Squared-window-normalized overlap-add of the inverse transform of ``X``."""
+        if self.norm is None:
+            self.norm = self._build_norm()
+        frames = np.fft.irfft(X, n=self.p.n_fft, axis=1, out=self.frames)
+        support = frames[:, self.support]
+        support *= self.p.window
+        y = self._overlap_add(support) / self.norm
+        frames[:, :self.support.start] = 0.0
+        frames[:, self.support.stop:] = 0.0
+        return y
 
 
 def stft(y: Waveform, p: StftParams) -> ComplexSpectrogram:
@@ -187,14 +267,8 @@ def stft(y: Waveform, p: StftParams) -> ComplexSpectrogram:
     x = y.samples
     if x.shape[0] == 0:
         raise ValueError("cannot analyze an empty signal")
-    n_frames = p.frames_for_length(x.shape[0])
-    x_pad = _reflect_pad(x, p.pad_amount)
-    needed = (n_frames - 1) * p.hop + p.n_fft
-    if x_pad.shape[0] < needed:
-        x_pad = np.concatenate([x_pad, np.zeros(needed - x_pad.shape[0])])
-    frames = _kernels.frame_signal(x_pad, p.padded_window(), p.hop, n_frames)
-    spec = np.fft.rfft(frames, n=p.n_fft, axis=1)
-    return ComplexSpectrogram(spec, p, x.shape[0])
+    plan = _StftPlan(p, x.shape[0], p.frames_for_length(x.shape[0]))
+    return ComplexSpectrogram(plan.analyze(x), p, x.shape[0])
 
 
 def istft(C: ComplexSpectrogram, target_length: int | None = None) -> Waveform:
@@ -209,26 +283,13 @@ def istft(C: ComplexSpectrogram, target_length: int | None = None) -> Waveform:
         target_length = C.origin_length
     if target_length < 1:
         raise ValueError("target_length must be positive")
-    n_frames = C.n_frames
-    out_len = (n_frames - 1) * p.hop + p.n_fft
-    start = p.pad_amount
-    if start + target_length > out_len:
+    out_len = (C.n_frames - 1) * p.hop + p.n_fft
+    if p.pad_amount + target_length > out_len:
         raise ValueError(
             f"target_length {target_length} exceeds reconstructable length "
-            f"{out_len - start} for {n_frames} frames"
+            f"{out_len - p.pad_amount} for {C.n_frames} frames"
         )
-    w = p.padded_window()
-    time_frames = np.fft.irfft(C.frames, n=p.n_fft, axis=1)
-    acc = _kernels.overlap_add(time_frames * w, p.hop, out_len)
-    norm = _kernels.window_sumsq(w, p.hop, n_frames, out_len)
-    region = slice(start, start + target_length)
-    norm_region = norm[region]
-    if norm_region.min() < NORMALIZATION_FLOOR:
-        raise ValueError(
-            "degenerate synthesis normalization: squared-window sum below "
-            f"{NORMALIZATION_FLOOR} inside the output region"
-        )
-    return Waveform(acc[region] / norm_region)
+    return Waveform(_StftPlan(p, target_length, C.n_frames).synthesize(C.frames))
 
 
 def spectrogram_from_magnitude(

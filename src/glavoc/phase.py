@@ -5,6 +5,13 @@ ones (images of actual signals under analysis) and the ones with a
 prescribed magnitude.  Plain Griffin-Lim composes the two projections;
 the fast variant adds momentum on top.  Both run standalone as a vocoder
 and inside the corrected sampler's early steps.
+
+Every burst of rounds, from :func:`gla`, :func:`fgla` and
+:func:`glavoc.sampler.gla_correct`, runs in one private core,
+:func:`_project_rounds`, on plain complex arrays and one
+:class:`~glavoc.dsp._StftPlan`.  Inputs are validated at the public entry
+points and the burst's output is checked once for overflow; nothing is
+revalidated per round.
 """
 
 from dataclasses import dataclass
@@ -16,6 +23,7 @@ from .dsp import (
     ComplexSpectrogram,
     StftParams,
     Waveform,
+    _StftPlan,
     istft,
     spectrogram_from_magnitude,
     stft,
@@ -59,37 +67,83 @@ def _check_magnitude(s_hat: np.ndarray, n_frames: int, n_bins: int) -> np.ndarra
     return s
 
 
-def project_consistent(C: ComplexSpectrogram) -> ComplexSpectrogram:
-    """Project onto the set of spectrograms some signal produces.
-
-    Synthesis followed by analysis.  Requires the frame count and
-    origin_length to agree, otherwise re-analysis would change shape.
-    """
+def _check_frames(C: ComplexSpectrogram) -> None:
     p = C.params
     if p.frames_for_length(C.origin_length) != C.n_frames:
         raise ValueError(
             f"origin_length {C.origin_length} analyzes to "
             f"{p.frames_for_length(C.origin_length)} frames, spectrogram has {C.n_frames}"
         )
-    return stft(istft(C), p)
+
+
+def _set_magnitude(X: np.ndarray, s: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
+    """X *= s/|X| in place; entries with |X| = 0 become s (phase 1)."""
+    ratio = np.abs(X, out=scratch)
+    zero = None if ratio.all() else ratio == 0.0
+    if zero is not None:
+        ratio[zero] = 1.0
+    np.divide(s, ratio, out=ratio)
+    X *= ratio
+    if zero is not None:
+        X[zero] = s[zero]
+    return X
+
+
+def _project_rounds(X: np.ndarray, s_hat: np.ndarray, plan: _StftPlan,
+                    iterations: int, momentum: float) -> np.ndarray:
+    """Run ``iterations`` projection rounds from X; return the last iterate.
+
+    A round is t_k = P_C(P_mag(C_{k-1})).  With momentum m > 0 the next
+    iterate is C_k = t_k + m (t_k - t_{k-1}) from the second round on
+    (Perraudin, Balazs and Soendergaard, 2013); with m = 0 it is t_k.
+    X must be a validated complex array the caller gives up: it is
+    overwritten.  Raises ValueError if the burst overflowed.
+    """
+    scratch = np.empty(X.shape)
+    prev = None
+    for _ in range(iterations):
+        plan.analyze(plan.synthesize(_set_magnitude(X, s_hat, scratch)), out=X)
+        if not momentum:
+            continue
+        if prev is None:
+            prev = X.copy()
+        else:
+            np.subtract(X, prev, out=prev)
+            prev *= momentum
+            prev += X
+            X, prev = prev, X
+    if not np.all(np.isfinite(X)):
+        raise ValueError("projection burst overflowed: the iterate is not finite")
+    return X
+
+
+def project_consistent(C: ComplexSpectrogram) -> ComplexSpectrogram:
+    """Project onto the set of spectrograms some signal produces.
+
+    Synthesis followed by analysis.  Requires the frame count and
+    origin_length to agree, otherwise re-analysis would change shape.
+    """
+    _check_frames(C)
+    return stft(istft(C), C.params)
 
 
 def project_magnitude(C: ComplexSpectrogram, s_hat: np.ndarray) -> ComplexSpectrogram:
     """Replace magnitudes, keep phases; zero entries get phase 1."""
     s = _check_magnitude(s_hat, C.n_frames, C.params.n_bins)
-    mag = np.abs(C.frames)
-    unit = np.where(mag == 0.0, 1.0 + 0.0j, C.frames / np.where(mag == 0.0, 1.0, mag))
-    return ComplexSpectrogram(s * unit, C.params, C.origin_length)
+    return ComplexSpectrogram(_set_magnitude(C.frames.copy(), s), C.params, C.origin_length)
 
 
 def gla(C0: ComplexSpectrogram, s_hat: np.ndarray, iterations: int) -> ComplexSpectrogram:
     """Plain Griffin-Lim: K composed projections from C0."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    C = C0
-    for _ in range(iterations):
-        C = project_consistent(project_magnitude(C, s_hat))
-    return C
+    if iterations == 0:
+        return C0
+    s = _check_magnitude(s_hat, C0.n_frames, C0.params.n_bins)
+    _check_frames(C0)
+    plan = _StftPlan(C0.params, C0.origin_length, C0.n_frames)
+    X = _project_rounds(C0.frames.copy(), s, plan, iterations, 0.0)
+    return ComplexSpectrogram(X, C0.params, C0.origin_length)
 
 
 def initial_spectrogram(
@@ -133,17 +187,9 @@ def fgla(
     C = initial_spectrogram(s, params, cfg)
     if target_length is None:
         target_length = C.origin_length
-    if cfg.iterations > 0:
-        t_prev = project_consistent(project_magnitude(C, s))
-        C = t_prev
-        for _ in range(cfg.iterations - 1):
-            t = project_consistent(project_magnitude(C, s))
-            C = ComplexSpectrogram(
-                t.frames + cfg.momentum * (t.frames - t_prev.frames),
-                C.params,
-                C.origin_length,
-            )
-            t_prev = t
-    final = project_magnitude(C, s)
-    out = istft(final, target_length)
-    return Waveform(out.samples, sample_rate)
+    # the burst's plan, with its frame buffer, is freed before synthesis
+    # builds its own
+    X = _project_rounds(C.frames, s, _StftPlan(params, C.origin_length, C.n_frames),
+                        cfg.iterations, cfg.momentum)
+    final = ComplexSpectrogram(_set_magnitude(X, s), params, C.origin_length)
+    return Waveform(istft(final, target_length).samples, sample_rate)

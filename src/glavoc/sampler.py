@@ -21,9 +21,9 @@ from .diffusion import (
     spectral_envelope,
     WG6_BETAS,
 )
-from .dsp import ComplexSpectrogram, StftParams, Waveform, istft, stft
+from .dsp import StftParams, Waveform, _StftPlan
 from .melscale import MelSpectrogram, pseudo_inverse_magnitude
-from .phase import gla, project_consistent, project_magnitude
+from .phase import _check_magnitude, _project_rounds
 
 NOISE_MODES = ("white", "specgrad")
 
@@ -82,22 +82,10 @@ def gla_correct(
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    C = stft(y, params)
-    if momentum == 0.0:
-        C = gla(C, s_hat, iterations)
-    elif iterations > 0:
-        t_prev = project_consistent(project_magnitude(C, s_hat))
-        C = t_prev
-        for _ in range(iterations - 1):
-            t = project_consistent(project_magnitude(C, s_hat))
-            C = ComplexSpectrogram(
-                t.frames + momentum * (t.frames - t_prev.frames),
-                C.params,
-                C.origin_length,
-            )
-            t_prev = t
-    out = istft(C, len(y))
-    return Waveform(out.samples, y.sample_rate)
+    plan = _StftPlan(params, len(y), params.frames_for_length(len(y)))
+    s = _check_magnitude(s_hat, plan.n_frames, params.n_bins)
+    X = _project_rounds(plan.analyze(y.samples), s, plan, iterations, momentum)
+    return Waveform(plan.synthesize(X), y.sample_rate)
 
 
 def sample(

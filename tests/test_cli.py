@@ -60,6 +60,40 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_errors_exit_1(tmp_path, capsys):
+    # rejected while the config is resolved, before any file is read
+    ref, est = tmp_path / "ref", tmp_path / "est"
+    ref.mkdir()
+    est.mkdir()
+    make_wav(ref / "a.wav")
+    make_wav(est / "a.wav")
+    assert main(["evaluate", str(ref), str(est), "-o", str(tmp_path / "r.csv"),
+                 "--jobs", "0"]) == 1
+    uncentered = tmp_path / "uncentered.cfg"
+    uncentered.write_text("center = false\n")
+    assert main(["analyze", str(ref / "a.wav"), "-o", str(tmp_path / "a.mels"),
+                 "--config", str(uncentered)]) == 1
+    bogus = tmp_path / "bogus.cfg"
+    bogus.write_text("bogus = 1\n")
+    assert main(["analyze", str(ref / "a.wav"), "-o", str(tmp_path / "a.mels"),
+                 "--config", str(bogus)]) == 1
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "a.mels").exists()
+    # a config file that cannot be read is a data error
+    assert main(["analyze", str(ref / "a.wav"), "-o", str(tmp_path / "a.mels"),
+                 "--config", str(tmp_path / "missing.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert "jobs must be >= 1" in err and "center = false" in err
+
+
+def test_config_rejects_unusable_values():
+    with pytest.raises(ValueError, match="jobs"):
+        RunConfig(jobs=0)
+    with pytest.raises(ValueError, match="center"):
+        RunConfig.from_text("center = false\n")
+    with pytest.raises(ValueError, match="jobs"):
+        RunConfig().apply_overrides({"jobs": -1})
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing.wav"
     assert main(["analyze", str(missing), "-o", str(tmp_path / "o.mels")]) == 2

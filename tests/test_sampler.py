@@ -71,6 +71,13 @@ def test_correction_is_homogeneous_in_target():
     assert np.max(np.abs(scaled.samples - 0.5 * base.samples)) < 1e-9
 
 
+def test_correction_overflowing_target_raises():
+    y = Waveform(np.random.default_rng(5).standard_normal(L))
+    for momentum in (0.0, 0.9):
+        with pytest.raises(ValueError, match="finite"):
+            gla_correct(y, np.full(S_HAT.shape, 1e306), 4, P, momentum)
+
+
 def test_correction_momentum_variant_runs():
     rng = np.random.default_rng(4)
     y = Waveform(rng.standard_normal(L))
