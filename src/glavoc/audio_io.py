@@ -14,6 +14,9 @@ from .dsp import Waveform
 
 BIT_DEPTHS = ("pcm16", "float32")
 PCM16_SCALE = 32768.0
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# bytes 4-15 of every KSDATAFORMAT_SUBTYPE GUID; bytes 0-3 hold the format code
+_SUBTYPE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,8 @@ def read_wav(path):
 
     PCM16 maps to [-1, 1) by dividing by 32768; float32 passes through.
     Unknown chunks are skipped, so files with extra metadata still load.
+    WAVE_FORMAT_EXTENSIBLE files are read by the format code in their
+    subformat GUID.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -83,7 +88,10 @@ def read_wav(path):
         if cid == b"fmt ":
             if size < 16:
                 raise ValueError(f"{path}: malformed fmt chunk")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = list(struct.unpack_from("<HHIIHH", body, 0))
+            if (fmt[0] == WAVE_FORMAT_EXTENSIBLE and size >= 40
+                    and body[28:40] == _SUBTYPE_GUID_TAIL):
+                fmt[0] = struct.unpack_from("<I", body, 24)[0]
         elif cid == b"data":
             payload = body
         pos += 8 + size + (size & 1)    # chunks are word-aligned

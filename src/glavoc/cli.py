@@ -114,9 +114,10 @@ OVERRIDE_KEYS = (
 
 
 def resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {k: getattr(args, k) for k in OVERRIDE_KEYS if hasattr(args, k)}
-    return cfg.apply_overrides(overrides)
+    if args.config:
+        return load_config(args.config, overrides)
+    return RunConfig().apply_overrides(overrides)
 
 
 def _echo_config(cfg: RunConfig):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .audio_io import WavSpec
 from .diffusion import named_schedule
 from .dsp import StftParams
-from .melscale import MelFilterbank, mel_filterbank
+from .melscale import MelFilterbank, check_bands, mel_filterbank
 from .phase import GlaConfig
 from .sampler import SamplerConfig
 
@@ -53,6 +53,12 @@ class RunConfig:
                 "center = false is not supported: the periodic Hann window is "
                 "zero at its first sample, so uncentered synthesis is degenerate"
             )
+        # the cheap factories check the remaining values; the filterbank
+        # itself is built only when a command needs it
+        check_bands(self.sample_rate, self.n_mels, self.f_min, self.f_max)
+        self.sampler_config()
+        self.gla_config()
+        self.wav_spec()
 
     # -------------------------------------------------------- serialization
 
@@ -68,7 +74,12 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
+    def from_text(cls, text: str, overrides: dict = None) -> "RunConfig":
+        """Parse config text; the non-None entries of ``overrides`` win over it.
+
+        The merged values are validated once, so a file may depend on the
+        overrides it runs with (``correction_steps = 9`` with ``--schedule wg50``).
+        """
         known = {f.name: f for f in dataclasses.fields(cls)}
         values = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -82,6 +93,7 @@ class RunConfig:
             if key not in known:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
             values[key] = _parse_value(known[key].type, key, val, lineno)
+        values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
         return cls(**values)
 
     def apply_overrides(self, overrides: dict) -> "RunConfig":
@@ -140,6 +152,6 @@ def _parse_value(ftype, key, val, lineno):
         raise ValueError(f"line {lineno}: bad {name} value {val!r} for key {key!r}")
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides: dict = None) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
-        return RunConfig.from_text(fh.read())
+        return RunConfig.from_text(fh.read(), overrides)

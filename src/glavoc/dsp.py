@@ -15,9 +15,14 @@ is double precision.
 Both transforms run on a :class:`_StftPlan`, built once per call for one
 (parameters, signal length) pair: the reflect-pad gather index, the
 window restricted to its support, the squared-window normalizer over the
-output region, and one reusable frame buffer.  A projection burst in
-:mod:`glavoc.phase` builds one plan and runs every round on it; plans are
-never cached or shared, so concurrent callers share no state.
+output region, and one reusable frame buffer.  Framing, windowing and the
+FFTs run on a slice of frame rows; only the reflect-pad gather and the
+overlap-add span all frames.  :func:`stft` and :func:`istft` run one
+block of all rows on the calling thread.  A projection burst in
+:mod:`glavoc.phase` builds one plan and runs every round on it, its
+worker threads sharing that plan and each owning a disjoint block of
+rows.  Plans are never cached or kept past their call, so separate
+callers share no state.
 """
 
 import math
@@ -99,6 +104,20 @@ class StftParams:
             raise ValueError("signal length must be positive")
         total = n_samples + 2 * self.pad_amount
         return max(1, math.ceil((total - self.win_length) / self.hop) + 1)
+
+    def check_frame_count(self, n_frames: int) -> None:
+        """Raise ValueError unless some signal analyzes to ``n_frames`` frames.
+
+        A one-sample signal gives the fewest frames, and each further
+        sample adds at most one, so every count from there up is reachable.
+        """
+        fewest = self.frames_for_length(1)
+        if n_frames < fewest:
+            raise ValueError(
+                f"{n_frames} frames: no signal analyzes to fewer than {fewest} "
+                f"frames under this geometry (n_fft {self.n_fft}, hop {self.hop}, "
+                f"win_length {self.win_length})"
+            )
 
     def max_length_for_frames(self, n_frames: int) -> int:
         """Longest signal length that analyzes to exactly ``n_frames`` frames.
@@ -188,10 +207,15 @@ class _StftPlan:
 
     ``length`` is the signal length analyzed from, or synthesized to, and
     ``n_frames`` the spectrogram frame count.  Each half is built on its
-    first use: :meth:`analyze` builds the reflect-pad gather index,
-    :meth:`synthesize` the squared-window normalizer.  The frame buffer is
+    first use: :meth:`pad` builds the reflect-pad gather index,
+    :meth:`signal` the squared-window normalizer.  The frame buffer is
     shared by both and holds zeros outside the window support between
     calls.
+
+    Framing, windowing and both FFTs work row by row on a ``rows`` slice
+    of frames, so a burst can hand disjoint row blocks to several threads;
+    only :meth:`pad` and :meth:`signal` span all frames.  :meth:`analyze`
+    and :meth:`synthesize` are the one-block transforms.
     """
 
     def __init__(self, p: StftParams, length: int, n_frames: int):
@@ -201,7 +225,7 @@ class _StftPlan:
         self.frames = np.empty((n_frames, p.n_fft))
         self.frames[:, :left] = 0.0
         self.frames[:, self.support.stop:] = 0.0
-        self.gather = self.padded = self.norm = None
+        self.gather = self.padded = self.windows = self.norm = None
 
     def _build_norm(self) -> np.ndarray:
         """Squared-window overlap-add sum over the output region."""
@@ -232,30 +256,50 @@ class _StftPlan:
             grid[j:j + n, :block.shape[1]] += block
         return acc[p.pad_amount:p.pad_amount + self.length]
 
-    def analyze(self, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """One-sided spectrum of the windowed frames of ``x`` (into ``out``)."""
+    def pad(self, x: np.ndarray) -> None:
+        """Reflect-pad ``x`` into the buffer that analysis frames are read from."""
         p = self.p
         if self.gather is None:
             self.gather = _reflect_index(self.length, p.pad_amount)
             self.padded = np.empty((self.n_frames - 1) * p.hop + p.n_fft)
             self.padded[self.gather.shape[0]:] = 0.0
+            self.windows = np.lib.stride_tricks.sliding_window_view(
+                self.padded[self.support.start:], p.win_length)[::p.hop][:self.n_frames]
         np.take(x, self.gather, out=self.padded[:self.gather.shape[0]])
-        windows = np.lib.stride_tricks.sliding_window_view(
-            self.padded[self.support.start:], p.win_length)[::p.hop][:self.n_frames]
-        np.multiply(windows, p.window, out=self.frames[:, self.support])
-        return np.fft.rfft(self.frames, n=p.n_fft, axis=1, out=out)
+
+    def analyze_rows(self, rows: slice, out: np.ndarray = None) -> np.ndarray:
+        """One-sided spectrum of the windowed frames ``rows`` of the padded signal.
+
+        Written into ``out[rows]`` when ``out`` is given.
+        """
+        p = self.p
+        np.multiply(self.windows[rows], p.window, out=self.frames[rows, self.support])
+        return np.fft.rfft(self.frames[rows], n=p.n_fft, axis=1,
+                           out=None if out is None else out[rows])
+
+    def synthesize_rows(self, X: np.ndarray, rows: slice) -> None:
+        """Windowed inverse transform of ``X[rows]`` into the frame buffer's rows."""
+        p = self.p
+        frames = np.fft.irfft(X[rows], n=p.n_fft, axis=1, out=self.frames[rows])
+        frames[:, self.support] *= p.window
+        frames[:, :self.support.start] = 0.0
+        frames[:, self.support.stop:] = 0.0
+
+    def signal(self) -> np.ndarray:
+        """Squared-window-normalized overlap-add of the synthesized frames."""
+        if self.norm is None:
+            self.norm = self._build_norm()
+        return self._overlap_add(self.frames[:, self.support]) / self.norm
+
+    def analyze(self, x: np.ndarray) -> np.ndarray:
+        """One-sided spectrum of the windowed frames of ``x``."""
+        self.pad(x)
+        return self.analyze_rows(slice(None))
 
     def synthesize(self, X: np.ndarray) -> np.ndarray:
         """Squared-window-normalized overlap-add of the inverse transform of ``X``."""
-        if self.norm is None:
-            self.norm = self._build_norm()
-        frames = np.fft.irfft(X, n=self.p.n_fft, axis=1, out=self.frames)
-        support = frames[:, self.support]
-        support *= self.p.window
-        y = self._overlap_add(support) / self.norm
-        frames[:, :self.support.start] = 0.0
-        frames[:, self.support.stop:] = 0.0
-        return y
+        self.synthesize_rows(X, slice(None))
+        return self.signal()
 
 
 def stft(y: Waveform, p: StftParams) -> ComplexSpectrogram:

@@ -92,6 +92,16 @@ class MelSpectrogram:
         return self.frames.shape[0]
 
 
+def check_bands(sample_rate: float, n_bands: int, f_min: float, f_max: float) -> None:
+    """Raise ValueError unless the band layout fits below Nyquist."""
+    if not (0.0 <= f_min < f_max <= sample_rate / 2.0):
+        raise ValueError(
+            f"need 0 <= f_min < f_max <= Nyquist, got [{f_min}, {f_max}] at {sample_rate} Hz"
+        )
+    if n_bands < 1:
+        raise ValueError("n_bands must be >= 1")
+
+
 def mel_filterbank(
     sample_rate: float = 22050,
     n_fft: int = 2048,
@@ -107,12 +117,7 @@ def mel_filterbank(
     """
     if f_max is None:
         f_max = sample_rate / 2.0
-    if not (0.0 <= f_min < f_max <= sample_rate / 2.0):
-        raise ValueError(
-            f"need 0 <= f_min < f_max <= Nyquist, got [{f_min}, {f_max}] at {sample_rate} Hz"
-        )
-    if n_bands < 1:
-        raise ValueError("n_bands must be >= 1")
+    check_bands(sample_rate, n_bands, f_min, f_max)
     n_bins = n_fft // 2 + 1
     bin_freqs = np.arange(n_bins) * sample_rate / n_fft
     edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_bands + 2))

@@ -12,8 +12,18 @@ Every burst of rounds, from :func:`gla`, :func:`fgla` and
 :class:`~glavoc.dsp._StftPlan`.  Inputs are validated at the public entry
 points and the burst's output is checked once for overflow; nothing is
 revalidated per round.
+
+A burst splits the frame rows into contiguous blocks, one per core the
+process may run on as long as each block holds MIN_BLOCK_SAMPLES frame
+samples, and runs each round's row-wise stages on them in a thread pool
+made for that burst alone; a short input runs as one block on the
+calling thread.  The workers share the burst's plan and write disjoint
+rows of it, and the output is byte-identical whatever the split.
 """
 
+import contextlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +40,11 @@ from .dsp import (
 )
 
 INIT_MODES = ("random", "zero", "provided")
+# Frame samples (rows x n_fft) a row block needs before a second thread
+# pays for its dispatch.  Measured on 2 cores, two blocks of one burst
+# round break even at about 16-32k samples each for n_fft 512, 1024 and
+# 2048 alike; at 64k (32 rows of 2048) they take 0.73-0.80 of one block.
+MIN_BLOCK_SAMPLES = 1 << 16
 
 
 @dataclass
@@ -89,6 +104,21 @@ def _set_magnitude(X: np.ndarray, s: np.ndarray, scratch: np.ndarray = None) -> 
     return X
 
 
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _row_blocks(n_frames: int, n_fft: int) -> list:
+    """Contiguous row slices, at most one per core, each of MIN_BLOCK_SAMPLES or more."""
+    k = max(1, min(_cores(), n_frames * n_fft // MIN_BLOCK_SAMPLES))
+    cuts = [n_frames * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
 def _project_rounds(X: np.ndarray, s_hat: np.ndarray, plan: _StftPlan,
                     iterations: int, momentum: float) -> np.ndarray:
     """Run ``iterations`` projection rounds from X; return the last iterate.
@@ -98,20 +128,49 @@ def _project_rounds(X: np.ndarray, s_hat: np.ndarray, plan: _StftPlan,
     (Perraudin, Balazs and Soendergaard, 2013); with m = 0 it is t_k.
     X must be a validated complex array the caller gives up: it is
     overwritten.  Raises ValueError if the burst overflowed.
+
+    Everything but overlap-add and the reflect-pad gather works row by
+    row, so dispatch k runs, on each row block of :func:`_row_blocks`,
+    the end of round k and the start of round k + 1; the calling thread
+    takes the first block and then runs those two serial stages.
+    Workers write disjoint rows of X, prev, scratch and the plan's frames.
     """
     scratch = np.empty(X.shape)
-    prev = None
-    for _ in range(iterations):
-        plan.analyze(plan.synthesize(_set_magnitude(X, s_hat, scratch)), out=X)
-        if not momentum:
-            continue
-        if prev is None:
-            prev = X.copy()
-        else:
-            np.subtract(X, prev, out=prev)
-            prev *= momentum
-            prev += X
-            X, prev = prev, X
+    prev = np.empty_like(X) if momentum and iterations else None
+
+    def block(rows: slice, k: int, X: np.ndarray, prev: np.ndarray) -> None:
+        # numpy's error state is per thread; overflow is left to the
+        # finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = X
+            if k:    # finish round k: t_k into X; C_k in place of t_{k-1} in prev
+                t = plan.analyze_rows(rows, out=X)
+                if momentum:
+                    p = prev[rows]
+                    if k == 1:
+                        p[...] = t
+                    else:
+                        np.subtract(t, p, out=p)
+                        p *= momentum
+                        p += t
+                        C = prev
+            if k < iterations:    # start round k + 1 from C_k
+                _set_magnitude(C[rows], s_hat[rows], scratch[rows])
+                plan.synthesize_rows(C, rows)
+
+    blocks = _row_blocks(X.shape[0], plan.p.n_fft)
+    with (ThreadPoolExecutor(len(blocks) - 1) if iterations and len(blocks) > 1
+          else contextlib.nullcontext()) as pool, np.errstate(over="ignore", invalid="ignore"):
+        # dispatch 0 only starts round 1 and the last only finishes it
+        for k in range(iterations + 1 if iterations else 0):
+            if k:
+                plan.pad(plan.signal())
+            futures = [pool.submit(block, rows, k, X, prev) for rows in blocks[1:]]
+            block(blocks[0], k, X, prev)
+            for future in futures:
+                future.result()
+            if momentum and k > 1:
+                X, prev = prev, X
     if not np.all(np.isfinite(X)):
         raise ValueError("projection burst overflowed: the iterate is not finite")
     return X
@@ -184,6 +243,7 @@ def fgla(
     if s.ndim != 2:
         raise ValueError(f"magnitude must be 2-D, got shape {s.shape}")
     s = _check_magnitude(s, s.shape[0], params.n_bins)
+    params.check_frame_count(s.shape[0])
     C = initial_spectrogram(s, params, cfg)
     if target_length is None:
         target_length = C.origin_length

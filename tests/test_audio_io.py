@@ -135,3 +135,41 @@ def test_spec_validation():
         WavSpec(22050, "mp3")
     with pytest.raises(ValueError):
         WavSpec(0, "pcm16")
+
+
+# bytes 4-15 of the KSDATAFORMAT_SUBTYPE_PCM and _IEEE_FLOAT GUIDs
+KS_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def extensible_wav(path, subformat, bits, payload, guid_tail=KS_GUID_TAIL):
+    """A mono WAVE_FORMAT_EXTENSIBLE file with a 40-byte fmt chunk."""
+    align = bits // 8
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 22050, 22050 * align, align, bits,
+                      22, bits, 0x4) + struct.pack("<I", subformat) + guid_tail
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+def test_extensible_format_reads_its_subformat(tmp_path):
+    pcm = tmp_path / "pcm.wav"
+    extensible_wav(pcm, 1, 16, struct.pack("<3h", -32768, 0, 16384))
+    wave, spec = read_wav(pcm)
+    assert spec.bit_depth == "pcm16"
+    assert np.array_equal(wave.samples, [-1.0, 0.0, 0.5])
+
+    flt = tmp_path / "float.wav"
+    extensible_wav(flt, 3, 32, np.array([0.25, -0.75], dtype="<f4").tobytes())
+    wave, spec = read_wav(flt)
+    assert spec.bit_depth == "float32"
+    assert np.array_equal(wave.samples, [0.25, -0.75])
+
+    for name, subformat, bits, tail in (
+        ("adpcm.wav", 2, 16, KS_GUID_TAIL),     # another subformat
+        ("pcm24.wav", 1, 24, KS_GUID_TAIL),     # PCM at another depth
+        ("vendor.wav", 1, 16, b"\x01" * 12),    # a GUID outside the KSDATAFORMAT family
+    ):
+        odd = tmp_path / name
+        extensible_wav(odd, subformat, bits, b"\x00" * 12, tail)
+        with pytest.raises(ValueError, match="unsupported format"):
+            read_wav(odd)

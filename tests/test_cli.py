@@ -6,7 +6,7 @@ import pytest
 from signals import harmonic_signal
 
 from glavoc.audio_io import WavSpec, read_wav, write_wav
-from glavoc.cli import main
+from glavoc.cli import build_parser, main, resolve_config
 from glavoc.config import RunConfig, load_config
 from glavoc.dsp import Waveform
 from glavoc.melscale import MelSpectrogram, mel_filterbank, read_mels, write_mels
@@ -77,12 +77,23 @@ def test_config_errors_exit_1(tmp_path, capsys):
     bogus.write_text("bogus = 1\n")
     assert main(["analyze", str(ref / "a.wav"), "-o", str(tmp_path / "a.mels"),
                  "--config", str(bogus)]) == 1
+    # values the run could not use, each caught at load
+    for line in ("hop = 1300", "noise = pink", "correction_steps = 9", "f_max = 20000.0",
+                 "wav_format = pcm24", "schedule = nosuch"):
+        unusable = tmp_path / "unusable.cfg"
+        unusable.write_text(line + "\n")
+        assert main(["analyze", str(ref / "a.wav"), "-o", str(tmp_path / "a.mels"),
+                     "--config", str(unusable)]) == 1, line
     assert not (tmp_path / "r.csv").exists() and not (tmp_path / "a.mels").exists()
     # a config file that cannot be read is a data error
     assert main(["analyze", str(ref / "a.wav"), "-o", str(tmp_path / "a.mels"),
                  "--config", str(tmp_path / "missing.cfg")]) == 2
     err = capsys.readouterr().err
     assert "jobs must be >= 1" in err and "center = false" in err
+    for message in ("hop 1300 exceeds win_length", "noise_shaping must be one of",
+                    "exceeds the 6-step schedule", "Nyquist", "bit_depth must be one of",
+                    "unknown schedule 'nosuch'"):
+        assert message in err
 
 
 def test_config_rejects_unusable_values():
@@ -136,6 +147,17 @@ def test_vocode_gla_runs(tmp_path, capsys):
     assert spec.bit_depth == "float32"
     assert np.all(np.isfinite(back.samples))
     capsys.readouterr()
+
+
+def test_mels_no_signal_produces_exit_2(tmp_path, capsys):
+    mels = tmp_path / "short.mels"
+    write_mels(mels, MelSpectrogram(np.ones((2, 128)), mel_filterbank(22050, 2048, 128)))
+    assert main(["vocode-gla", str(mels), "-o", str(tmp_path / "g.wav"), "--iters", "2"]) == 2
+    assert main(["vocode", str(mels), "-o", str(tmp_path / "v.wav"),
+                 "--predictor", "zero"]) == 2
+    assert not (tmp_path / "g.wav").exists() and not (tmp_path / "v.wav").exists()
+    err = capsys.readouterr().err
+    assert err.count("2 frames: no signal analyzes to fewer than 4 frames") == 2
 
 
 def test_vocode_determinism(tmp_path, capsys):
@@ -220,6 +242,19 @@ def test_config_echo_reproduces_run(tmp_path, capsys):
     err = capsys.readouterr().err
     body = "\n".join(ln for ln in err.splitlines() if not ln.startswith("#"))
     assert RunConfig.from_text(body) == RunConfig()
+
+
+def test_config_file_is_validated_with_its_overrides(tmp_path):
+    # nine corrected steps exceed wg6 but fit the wg50 the flag selects
+    custom = tmp_path / "c.cfg"
+    custom.write_text("correction_steps = 9\n")
+    args = build_parser().parse_args(["vocode", "in.mels", "-o", "out.wav", "--predictor",
+                                      "zero", "--config", str(custom), "--schedule", "wg50"])
+    cfg = resolve_config(args)
+    assert (cfg.schedule, cfg.correction_steps) == ("wg50", 9)
+    with pytest.raises(ValueError, match="6-step schedule"):
+        resolve_config(build_parser().parse_args(["vocode", "in.mels", "-o", "out.wav",
+                                                  "--predictor", "zero", "--config", str(custom)]))
 
 
 def test_flag_overrides_config_file(tmp_path, capsys):

@@ -1,10 +1,15 @@
 """Projection contracts, Griffin-Lim convergence behavior, FGLA acceleration."""
 
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
 from signals import harmonic_signal
 
+import glavoc.phase as phase
 from glavoc.dsp import ComplexSpectrogram, StftParams, Waveform, istft, stft
 from glavoc.phase import (
     GlaConfig,
@@ -250,8 +255,92 @@ def test_bursts_match_the_reference_loop(entry, momentum):
     assert np.max(np.abs(got - want)) < 1e-9
 
 
-def test_fgla_overflowing_target_raises():
-    s_hat = np.full((20, P.n_bins), 1e306)
-    for momentum in (0.0, 0.99):
-        with pytest.raises(ValueError, match="finite"):
-            fgla(s_hat, P, GlaConfig(iterations=4, momentum=momentum))
+def test_fgla_overflowing_target_raises(monkeypatch):
+    # only the ValueError, no RuntimeWarning first, on one row block and on two
+    n_frames = 2 * phase.MIN_BLOCK_SAMPLES // P.n_fft
+    s_hat = np.full((n_frames, P.n_bins), 1e306)
+    for cores in (1, 2):
+        monkeypatch.setattr(phase, "_cores", lambda: cores)
+        assert len(phase._row_blocks(n_frames, P.n_fft)) == cores
+        for momentum in (0.0, 0.99):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="finite"):
+                    fgla(s_hat, P, GlaConfig(iterations=4, momentum=momentum))
+
+
+def test_fgla_rejects_mels_no_signal_produces():
+    fewest = P.frames_for_length(1)
+    assert fewest == 4
+    for n_frames in (1, 2, 3):
+        with pytest.raises(ValueError, match="fewer than 4 frames"):
+            fgla(np.ones((n_frames, P.n_bins)), P, GlaConfig(iterations=1))
+    out = fgla(np.ones((fewest, P.n_bins)), P, GlaConfig(iterations=1))
+    assert len(out) == P.max_length_for_frames(fewest)
+
+
+# ------------------------------------------------- row blocks across threads
+
+SPLIT_GEOMETRIES = {
+    "default": StftParams(),
+    "hop_not_dividing_window": StftParams(n_fft=512, hop=96, win_length=400),
+    "uncentered_rectangular": StftParams(n_fft=512, hop=100, win_length=300,
+                                         window=np.ones(300), center_padding=False),
+}
+
+
+def burst_outputs(p, n_frames):
+    rng = np.random.default_rng(p.n_fft + p.hop)
+    y = Waveform(rng.standard_normal(p.max_length_for_frames(n_frames)))
+    C = stft(y, p)
+    s_hat = 1.3 * np.abs(C.frames)
+    return [
+        gla(C, s_hat, 3).frames,
+        fgla(s_hat, p, GlaConfig(iterations=3, momentum=0.0)).samples,
+        fgla(s_hat, p, GlaConfig(iterations=3, momentum=0.99)).samples,
+        gla_correct(y, s_hat, 3, p).samples,
+        gla_correct(y, s_hat, 3, p, 0.99).samples,
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_GEOMETRIES))
+def test_bursts_are_identical_however_the_rows_split(name, monkeypatch):
+    p = SPLIT_GEOMETRIES[name]
+    n_frames = max(300, 7 * phase.MIN_BLOCK_SAMPLES // p.n_fft)
+    outputs = {}
+    for cores in (1, 2, 3, 7):
+        monkeypatch.setattr(phase, "_cores", lambda: cores)
+        assert len(phase._row_blocks(n_frames, p.n_fft)) == cores
+        outputs[cores] = burst_outputs(p, n_frames)
+    for cores in (2, 3, 7):
+        for serial, split in zip(outputs[1], outputs[cores]):
+            assert np.array_equal(serial, split)
+
+
+def test_concurrent_split_bursts_match_the_serial_one(monkeypatch):
+    # four bursts at once, each split over three blocks, with the
+    # interpreter switching threads far more often than by default
+    n_frames = 3 * phase.MIN_BLOCK_SAMPLES // P.n_fft
+    s_hat = np.abs(np.random.default_rng(21).standard_normal((n_frames, P.n_bins)))
+    cfg = GlaConfig(iterations=6, momentum=0.99, seed=21)
+    monkeypatch.setattr(phase, "_cores", lambda: 1)
+    serial = fgla(s_hat, P, cfg).samples
+    monkeypatch.setattr(phase, "_cores", lambda: 3)
+    results = [None] * 4
+
+    def run(i):
+        results[i] = fgla(s_hat, P, cfg).samples
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert got is not None and np.array_equal(got, serial)

@@ -1,10 +1,13 @@
 """Corrected-sampler behavior: projection repair, phase ordering, equivalences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from signals import harmonic_signal
 
+import glavoc.phase as phase
 import glavoc.sampler as sampler_mod
 from glavoc.diffusion import (
     OraclePredictor,
@@ -14,7 +17,12 @@ from glavoc.diffusion import (
     schedule_from_betas,
 )
 from glavoc.dsp import StftParams, Waveform, stft
-from glavoc.melscale import mel_filterbank, mel_spectrogram, pseudo_inverse_magnitude
+from glavoc.melscale import (
+    MelSpectrogram,
+    mel_filterbank,
+    mel_spectrogram,
+    pseudo_inverse_magnitude,
+)
 from glavoc.sampler import SamplerConfig, gla_correct, sample
 
 P = StftParams()
@@ -71,11 +79,18 @@ def test_correction_is_homogeneous_in_target():
     assert np.max(np.abs(scaled.samples - 0.5 * base.samples)) < 1e-9
 
 
-def test_correction_overflowing_target_raises():
+def test_correction_overflowing_target_raises(monkeypatch):
+    # only the ValueError, no RuntimeWarning first, on one row block and on two
     y = Waveform(np.random.default_rng(5).standard_normal(L))
-    for momentum in (0.0, 0.9):
-        with pytest.raises(ValueError, match="finite"):
-            gla_correct(y, np.full(S_HAT.shape, 1e306), 4, P, momentum)
+    assert S_HAT.shape[0] >= 2 * phase.MIN_BLOCK_SAMPLES // P.n_fft
+    for cores in (1, 2):
+        monkeypatch.setattr(phase, "_cores", lambda: cores)
+        assert len(phase._row_blocks(S_HAT.shape[0], P.n_fft)) == cores
+        for momentum in (0.0, 0.9):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="finite"):
+                    gla_correct(y, np.full(S_HAT.shape, 1e306), 4, P, momentum)
 
 
 def test_correction_momentum_variant_runs():
@@ -149,6 +164,14 @@ def test_sampler_output_length():
 def test_sampler_rejects_inconsistent_length():
     with pytest.raises(ValueError, match="frames"):
         sample(ZeroPredictor(), MEL, SamplerConfig(), target_length=L + 5000)
+
+
+def test_sampler_rejects_mels_no_signal_produces():
+    for n_frames in (1, 2, 3):
+        mel = MelSpectrogram(MEL.frames[:n_frames], FB)
+        for target_length in (None, 1):
+            with pytest.raises(ValueError, match="fewer than 4 frames"):
+                sample(ZeroPredictor(), mel, SamplerConfig(), target_length=target_length)
 
 
 def test_corrections_hit_only_the_earliest_steps(monkeypatch):
