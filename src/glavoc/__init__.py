@@ -46,7 +46,7 @@ from .metrics import (
     snr,
     spectral_convergence,
 )
-from .phase import GlaConfig, fgla, gla, project_consistent, project_magnitude
-from .sampler import SamplerConfig, gla_correct, sample
+from .phase import GlaConfig, fgla, gla, gla_correct, project_consistent, project_magnitude
+from .sampler import SamplerConfig, sample
 
 __version__ = "0.1.0"

@@ -7,6 +7,7 @@ config file that reproduces the run.
 """
 
 import argparse
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -48,6 +49,18 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=int, help="random seed override")
 
+    def sampler_flags(p):
+        p.add_argument("--correction-steps", type=int, dest="correction_steps")
+        p.add_argument("--gla-iters", type=int, dest="gla_iters")
+        p.add_argument("--schedule", help="wg6, wg50, or a betas file")
+        p.add_argument("--noise", choices=("white", "specgrad"))
+        p.add_argument("--magnitude-rescale", action="store_const", const=True,
+                       dest="magnitude_rescale",
+                       help="shrink the correction target by the step's noise level")
+        p.add_argument("--sigma-no-sqrt", action="store_const", const=True,
+                       dest="sigma_no_sqrt",
+                       help="use the unrooted posterior deviation variant")
+
     p = sub.add_parser("analyze", help="compute a mel spectrogram from a wav")
     p.add_argument("wav")
     p.add_argument("-o", "--output", required=True, help="output .mels path")
@@ -69,16 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output wav path")
     p.add_argument("--predictor", type=_predictor_spec, required=True,
                    help="'zero' or 'oracle:<reference.wav>'")
-    p.add_argument("--correction-steps", type=int, dest="correction_steps")
-    p.add_argument("--gla-iters", type=int, dest="gla_iters")
-    p.add_argument("--schedule", help="wg6, wg50, or a betas file")
-    p.add_argument("--noise", choices=("white", "specgrad"))
-    p.add_argument("--magnitude-rescale", action="store_const", const=True,
-                   dest="magnitude_rescale",
-                   help="shrink the correction target by the step's noise level")
-    p.add_argument("--sigma-no-sqrt", action="store_const", const=True,
-                   dest="sigma_no_sqrt",
-                   help="use the unrooted posterior deviation variant")
+    sampler_flags(p)
     common(p)
     p.set_defaults(func=cmd_vocode)
 
@@ -86,14 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "evaluate against the input")
     p.add_argument("wav")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    p.add_argument("--correction-steps", type=int, dest="correction_steps")
-    p.add_argument("--gla-iters", type=int, dest="gla_iters")
-    p.add_argument("--schedule")
-    p.add_argument("--noise", choices=("white", "specgrad"))
-    p.add_argument("--magnitude-rescale", action="store_const", const=True,
-                   dest="magnitude_rescale")
-    p.add_argument("--sigma-no-sqrt", action="store_const", const=True,
-                   dest="sigma_no_sqrt")
+    sampler_flags(p)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -107,17 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-OVERRIDE_KEYS = (
-    "seed", "iters", "momentum", "correction_steps", "gla_iters",
-    "schedule", "noise", "magnitude_rescale", "sigma_no_sqrt", "jobs",
-)
-
-
 def resolve_config(args) -> RunConfig:
-    overrides = {k: getattr(args, k) for k in OVERRIDE_KEYS if hasattr(args, k)}
+    """The config file, or the defaults, under the flags that name a config key."""
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in keys}
     if args.config:
         return load_config(args.config, overrides)
-    return RunConfig().apply_overrides(overrides)
+    return RunConfig.from_text("", overrides)
 
 
 def _echo_config(cfg: RunConfig):

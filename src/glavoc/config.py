@@ -96,11 +96,6 @@ class RunConfig:
         values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
         return cls(**values)
 
-    def apply_overrides(self, overrides: dict) -> "RunConfig":
-        """New config with the non-None entries of ``overrides`` applied."""
-        merged = {k: v for k, v in overrides.items() if v is not None}
-        return dataclasses.replace(self, **merged)
-
     # ----------------------------------------------------------- factories
 
     def stft_params(self) -> StftParams:
@@ -128,8 +123,7 @@ class RunConfig:
         )
 
     def gla_config(self) -> GlaConfig:
-        return GlaConfig(iterations=self.iters, momentum=self.momentum,
-                         init="random", seed=self.seed)
+        return GlaConfig(iterations=self.iters, momentum=self.momentum, seed=self.seed)
 
     def wav_spec(self) -> WavSpec:
         return WavSpec(self.sample_rate, self.wav_format)

@@ -197,11 +197,6 @@ def _reflect_index(n: int, pad: int) -> np.ndarray:
     return idx
 
 
-def _reflect_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """Reflect-pad without repeating edge samples; tolerates pad >= len(x)."""
-    return x if pad == 0 else x[_reflect_index(x.shape[0], pad)]
-
-
 class _StftPlan:
     """Geometry and scratch for transforms of one (params, signal length).
 

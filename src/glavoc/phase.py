@@ -6,10 +6,11 @@ prescribed magnitude.  Plain Griffin-Lim composes the two projections;
 the fast variant adds momentum on top.  Both run standalone as a vocoder
 and inside the corrected sampler's early steps.
 
-Every burst of rounds, from :func:`gla`, :func:`fgla` and
-:func:`glavoc.sampler.gla_correct`, runs in one private core,
+Every burst of rounds, from :func:`gla`, :func:`fgla` and the sampler's
+correction :func:`gla_correct`, runs in one private core,
 :func:`_project_rounds`, on plain complex arrays and one
-:class:`~glavoc.dsp._StftPlan`.  Inputs are validated at the public entry
+:class:`~glavoc.dsp._StftPlan`; :func:`fgla` and :func:`gla_correct`
+synthesize on that same plan.  Inputs are validated at the public entry
 points and the burst's output is checked once for overflow; nothing is
 revalidated per round.
 
@@ -39,7 +40,6 @@ from .dsp import (
     stft,
 )
 
-INIT_MODES = ("random", "zero", "provided")
 # Frame samples (rows x n_fft) a row block needs before a second thread
 # pays for its dispatch.  Measured on 2 cores, two blocks of one burst
 # round break even at about 16-32k samples each for n_fft 512, 1024 and
@@ -49,28 +49,20 @@ MIN_BLOCK_SAMPLES = 1 << 16
 
 @dataclass
 class GlaConfig:
-    """Iteration budget, momentum and phase initialization.
+    """Iteration budget, momentum and the seed of the starting phase.
 
     momentum = 0 is plain Griffin-Lim; nonzero values accelerate it.
-    ``init`` selects the starting phase: seeded uniform random, all-zero,
-    or a caller-provided array in ``init_phase``.
     """
 
     iterations: int = 1000
     momentum: float = 0.99
-    init: str = "random"
     seed: int = 0
-    init_phase: np.ndarray = None
 
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.init not in INIT_MODES:
-            raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if self.init == "provided" and self.init_phase is None:
-            raise ValueError("init='provided' needs an init_phase array")
 
 
 def _check_magnitude(s_hat: np.ndarray, n_frames: int, n_bins: int) -> np.ndarray:
@@ -205,20 +197,34 @@ def gla(C0: ComplexSpectrogram, s_hat: np.ndarray, iterations: int) -> ComplexSp
     return ComplexSpectrogram(X, C0.params, C0.origin_length)
 
 
+def gla_correct(
+    y: Waveform,
+    s_hat: np.ndarray,
+    iterations: int,
+    params: StftParams,
+    momentum: float = 0.0,
+) -> Waveform:
+    """Pull a waveform toward a magnitude target by K projection rounds.
+
+    Analyze, run K composed (consistency after magnitude) projections,
+    synthesize back at the same length.  K=0 is the bare analysis round
+    trip, the identity up to floating point.  Positive momentum applies
+    the accelerated variant across the K rounds.
+    """
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    plan = _StftPlan(params, len(y), params.frames_for_length(len(y)))
+    s = _check_magnitude(s_hat, plan.n_frames, params.n_bins)
+    X = _project_rounds(plan.analyze(y.samples), s, plan, iterations, momentum)
+    return Waveform(plan.synthesize(X), y.sample_rate)
+
+
 def initial_spectrogram(
     s_hat: np.ndarray, params: StftParams, cfg: GlaConfig
 ) -> ComplexSpectrogram:
-    """Starting iterate: the target magnitude under the configured phase."""
+    """Starting iterate: the target magnitude under seeded uniform random phase."""
     s = np.asarray(s_hat, dtype=np.float64)
-    if cfg.init == "random":
-        rng = np.random.default_rng(cfg.seed)
-        phase = rng.uniform(-np.pi, np.pi, size=s.shape)
-    elif cfg.init == "zero":
-        phase = np.zeros(s.shape)
-    else:
-        phase = np.asarray(cfg.init_phase, dtype=np.float64)
-        if phase.shape != s.shape:
-            raise ValueError(f"init_phase shape {phase.shape} != {s.shape}")
+    phase = np.random.default_rng(cfg.seed).uniform(-np.pi, np.pi, size=s.shape)
     return spectrogram_from_magnitude(s, phase, params)
 
 
@@ -237,7 +243,8 @@ def fgla(
     measurably hurts convergence.  Momentum 0 reduces exactly to plain
     Griffin-Lim.  One final magnitude projection before synthesis keeps
     the emitted signal as close to the target magnitude as the last phase
-    estimate allows.
+    estimate allows.  ``target_length`` (default: the longest signal the
+    frame count describes) keeps that many leading samples.
     """
     s = np.asarray(s_hat, dtype=np.float64)
     if s.ndim != 2:
@@ -247,9 +254,9 @@ def fgla(
     C = initial_spectrogram(s, params, cfg)
     if target_length is None:
         target_length = C.origin_length
-    # the burst's plan, with its frame buffer, is freed before synthesis
-    # builds its own
-    X = _project_rounds(C.frames, s, _StftPlan(params, C.origin_length, C.n_frames),
-                        cfg.iterations, cfg.momentum)
-    final = ComplexSpectrogram(_set_magnitude(X, s), params, C.origin_length)
-    return Waveform(istft(final, target_length).samples, sample_rate)
+    if not 1 <= target_length <= C.origin_length:
+        raise ValueError(f"target_length {target_length} outside 1..{C.origin_length} "
+                         f"for {C.n_frames} frames")
+    plan = _StftPlan(params, C.origin_length, C.n_frames)
+    X = _project_rounds(C.frames, s, plan, cfg.iterations, cfg.momentum)
+    return Waveform(plan.synthesize(_set_magnitude(X, s))[:target_length], sample_rate)

@@ -2,9 +2,9 @@
 
 The reverse-diffusion chain runs as usual, except that each of the first
 few states it produces is pulled toward the target magnitude spectrogram
-by a burst of Griffin-Lim projections.  Late steps run uncorrected; the
-magnitude target is lifted from the conditioning mel spectrogram once
-per utterance.
+by a burst of Griffin-Lim projections, :func:`glavoc.phase.gla_correct`.
+Late steps run uncorrected; the magnitude target is lifted from the
+conditioning mel spectrogram once per utterance.
 """
 
 from dataclasses import dataclass, field
@@ -21,9 +21,9 @@ from .diffusion import (
     spectral_envelope,
     WG6_BETAS,
 )
-from .dsp import StftParams, Waveform, _StftPlan
+from .dsp import StftParams, Waveform
 from .melscale import MelSpectrogram, pseudo_inverse_magnitude
-from .phase import _check_magnitude, _project_rounds
+from .phase import gla_correct
 
 NOISE_MODES = ("white", "specgrad")
 
@@ -64,28 +64,6 @@ class SamplerConfig:
             raise ValueError(f"noise_shaping must be one of {NOISE_MODES}")
         if not (0.0 <= self.gla_momentum < 1.0):
             raise ValueError("gla_momentum must lie in [0, 1)")
-
-
-def gla_correct(
-    y: Waveform,
-    s_hat: np.ndarray,
-    iterations: int,
-    params: StftParams,
-    momentum: float = 0.0,
-) -> Waveform:
-    """Pull a waveform toward a magnitude target by K projection rounds.
-
-    Analyze, run K composed (consistency after magnitude) projections,
-    synthesize back at the same length.  K=0 is the bare analysis round
-    trip, the identity up to floating point.  Positive momentum applies
-    the accelerated variant across the K rounds.
-    """
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    plan = _StftPlan(params, len(y), params.frames_for_length(len(y)))
-    s = _check_magnitude(s_hat, plan.n_frames, params.n_bins)
-    X = _project_rounds(plan.analyze(y.samples), s, plan, iterations, momentum)
-    return Waveform(plan.synthesize(X), y.sample_rate)
 
 
 def sample(
@@ -151,10 +129,4 @@ def sample(
             if cfg.magnitude_rescale:
                 target = s_hat * np.sqrt(sched.alpha_bar_prev(n))
             y = gla_correct(y, target, cfg.gla_iterations, params, cfg.gla_momentum)
-
-    out = y.samples
-    if out.shape[0] > target_length:
-        out = out[:target_length]
-    elif out.shape[0] < target_length:
-        out = np.concatenate([out, np.zeros(target_length - out.shape[0])])
-    return Waveform(out, sample_rate)
+    return y

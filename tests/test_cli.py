@@ -43,7 +43,7 @@ def test_config_parsing_details():
 
 
 def test_config_overrides():
-    cfg = RunConfig().apply_overrides({"seed": 9, "iters": None, "noise": "specgrad"})
+    cfg = RunConfig.from_text("", {"seed": 9, "iters": None, "noise": "specgrad"})
     assert cfg.seed == 9
     assert cfg.iters == 1000          # None means "not given"
     assert cfg.noise == "specgrad"
@@ -102,7 +102,7 @@ def test_config_rejects_unusable_values():
     with pytest.raises(ValueError, match="center"):
         RunConfig.from_text("center = false\n")
     with pytest.raises(ValueError, match="jobs"):
-        RunConfig().apply_overrides({"jobs": -1})
+        RunConfig.from_text("", {"jobs": -1})
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

@@ -15,11 +15,11 @@ from glavoc.phase import (
     GlaConfig,
     fgla,
     gla,
+    gla_correct,
     initial_spectrogram,
     project_consistent,
     project_magnitude,
 )
-from glavoc.sampler import gla_correct
 
 P = StftParams()
 
@@ -131,7 +131,7 @@ def test_gla_improves_with_iterations():
     # must beat a single iteration
     y = Waveform(harmonic_signal(180.0, n=11025, seed=9))
     s_hat = stft(y, P).magnitude()
-    C0 = initial_spectrogram(s_hat, P, GlaConfig(init="random", seed=9))
+    C0 = initial_spectrogram(s_hat, P, GlaConfig(seed=9))
 
     def mismatch(C):
         resynth = stft(istft(C), P).magnitude()
@@ -148,7 +148,7 @@ def test_gla_distance_is_non_increasing():
     # the target magnitude baked in, so it starts at the wrong stage)
     y = Waveform(harmonic_signal(200.0, n=8000, seed=10))
     s_hat = stft(y, P).magnitude()
-    C = project_consistent(initial_spectrogram(s_hat, P, GlaConfig(init="random", seed=10)))
+    C = project_consistent(initial_spectrogram(s_hat, P, GlaConfig(seed=10)))
     prev = np.inf
     for _ in range(100):
         d = np.linalg.norm(project_magnitude(C, s_hat).frames - C.frames) ** 2
@@ -162,7 +162,7 @@ def test_gla_distance_is_non_increasing():
 def test_fgla_zero_momentum_reduces_to_gla():
     y = Waveform(harmonic_signal(140.0, n=9000, seed=11))
     s_hat = stft(y, P).magnitude()
-    cfg = GlaConfig(iterations=20, momentum=0.0, init="random", seed=11)
+    cfg = GlaConfig(iterations=20, momentum=0.0, seed=11)
     via_fgla = fgla(s_hat, P, cfg, target_length=9000)
     C0 = initial_spectrogram(s_hat, P, cfg)
     ref = istft(project_magnitude(gla(C0, s_hat, 20), s_hat), 9000)
@@ -176,7 +176,7 @@ def test_fgla_momentum_accelerates():
     def convergence(momentum):
         out = fgla(
             s_hat, P,
-            GlaConfig(iterations=100, momentum=momentum, init="random", seed=12),
+            GlaConfig(iterations=100, momentum=momentum, seed=12),
             target_length=11025,
         )
         est = stft(out, P).magnitude()
@@ -188,7 +188,7 @@ def test_fgla_momentum_accelerates():
 def test_fgla_output_length_and_determinism():
     rng = np.random.default_rng(13)
     s_hat = rng.random((30, P.n_bins))
-    cfg = GlaConfig(iterations=5, momentum=0.9, init="random", seed=42)
+    cfg = GlaConfig(iterations=5, momentum=0.9, seed=42)
     a = fgla(s_hat, P, cfg, target_length=7000)
     b = fgla(s_hat, P, cfg, target_length=7000)
     assert len(a) == 7000
@@ -197,23 +197,32 @@ def test_fgla_output_length_and_determinism():
 
 
 def test_fgla_init_modes():
-    rng = np.random.default_rng(14)
-    s_hat = rng.random((10, P.n_bins))
-    zero = fgla(s_hat, P, GlaConfig(iterations=2, momentum=0.0, init="zero"))
-    provided = fgla(
-        s_hat, P,
-        GlaConfig(iterations=2, momentum=0.0, init="provided",
-                  init_phase=np.zeros((10, P.n_bins))),
-    )
-    assert np.array_equal(zero.samples, provided.samples)
-    with pytest.raises(ValueError, match="init_phase"):
-        GlaConfig(init="provided")
+    # seeded uniform phase is the only start; the init settings are gone
+    with pytest.raises(TypeError):
+        GlaConfig(init="zero")
     with pytest.raises(ValueError):
         GlaConfig(momentum=1.0)
     with pytest.raises(ValueError):
         GlaConfig(iterations=-1)
-    with pytest.raises(ValueError):
-        GlaConfig(init="nonsense")
+
+
+@pytest.mark.parametrize("name", ["default", "uncentered_rectangular"])
+def test_fgla_target_length_keeps_the_leading_samples(name):
+    p = SPLIT_GEOMETRIES[name]
+    s_hat = np.random.default_rng(17).random((40, p.n_bins))
+    cfg = GlaConfig(iterations=4, momentum=0.99, seed=17)
+    full = fgla(s_hat, p, cfg).samples
+    assert len(full) == p.max_length_for_frames(40)
+    for t in (1, 1234, len(full) - 1, len(full)):
+        assert np.array_equal(fgla(s_hat, p, cfg, target_length=t).samples, full[:t])
+
+
+def test_fgla_rejects_target_lengths_the_frames_do_not_describe():
+    s_hat = np.ones((20, P.n_bins))
+    longest = P.max_length_for_frames(20)
+    for t in (0, longest + 1):
+        with pytest.raises(ValueError, match="target_length"):
+            fgla(s_hat, P, GlaConfig(iterations=1), target_length=t)
 
 
 # ------------------------------------------------- one core behind every burst
@@ -239,7 +248,7 @@ def test_bursts_match_the_reference_loop(entry, momentum):
     n = 8000
     y = Waveform(harmonic_signal(170.0, n=n, seed=15))
     s_hat = 1.2 * stft(y, P).magnitude()
-    cfg = GlaConfig(iterations=32, momentum=momentum, init="random", seed=15)
+    cfg = GlaConfig(iterations=32, momentum=momentum, seed=15)
     C0 = initial_spectrogram(s_hat, P, cfg)
     if entry == "gla":
         got = gla(C0, s_hat, 32).frames
