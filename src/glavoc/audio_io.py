@@ -25,11 +25,8 @@ class WavSpec:
 
     sample_rate: int = 22050
     bit_depth: str = "float32"
-    channels: int = 1
 
     def __post_init__(self):
-        if self.channels != 1:
-            raise ValueError("unsupported channel count (mono only)")
         if self.bit_depth not in BIT_DEPTHS:
             raise ValueError(f"bit_depth must be one of {BIT_DEPTHS}")
         if self.sample_rate <= 0:

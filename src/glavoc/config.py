@@ -8,6 +8,7 @@ config file reproducing that run.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .audio_io import WavSpec
@@ -48,6 +49,8 @@ class RunConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if not 0.0 < self.lsd_floor < math.inf:
+            raise ValueError(f"lsd_floor must be finite and positive, got {self.lsd_floor}")
         if not self.center:
             raise ValueError(
                 "center = false is not supported: the periodic Hann window is "

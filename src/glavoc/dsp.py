@@ -12,6 +12,13 @@ analysis window zero-padded centrally to n_fft, so frame ``t`` is
 centered on sample ``t * hop`` when center padding is on.  All arithmetic
 is double precision.
 
+:class:`StftParams` alone decides which signal lengths a frame count
+describes.  :meth:`~StftParams.synthesis_length` admits the lengths n
+frames synthesize to, 1 up to :meth:`~StftParams.max_length_for_frames`;
+:func:`istft`, :class:`ComplexSpectrogram` and :func:`glavoc.phase.fgla`
+accept those.  :meth:`~StftParams.check_length` admits only the lengths
+that analyze back to exactly n frames, which a projection round needs.
+
 Both transforms run on a :class:`_StftPlan`, built once per call for one
 (parameters, signal length) pair: the reflect-pad gather index, the
 window restricted to its support, the squared-window normalizer over the
@@ -120,14 +127,29 @@ class StftParams:
             )
 
     def max_length_for_frames(self, n_frames: int) -> int:
-        """Longest signal length that analyzes to exactly ``n_frames`` frames.
-
-        Used as the synthesis target length when only a spectrogram or mel
-        frame count is known.
-        """
+        """Longest signal length that analyzes to exactly ``n_frames`` frames."""
         if n_frames < 1:
             raise ValueError("n_frames must be positive")
         return max(1, (n_frames - 1) * self.hop + self.win_length - 2 * self.pad_amount)
+
+    def synthesis_length(self, n_frames: int, length: int | None = None) -> int:
+        """Length to synthesize ``n_frames`` frames to: ``length``, by default the longest.
+
+        Raises ValueError unless 1 <= length <= max_length_for_frames(n_frames);
+        a longer signal would analyze to more frames.
+        """
+        longest = self.max_length_for_frames(n_frames)
+        if length is None:
+            return longest
+        if not 1 <= length <= longest:
+            raise ValueError(f"target_length {length} outside 1..{longest} for {n_frames} frames")
+        return length
+
+    def check_length(self, n_frames: int, length: int) -> None:
+        """Raise ValueError unless a ``length``-sample signal analyzes to ``n_frames`` frames."""
+        got = self.frames_for_length(length)
+        if got != n_frames:
+            raise ValueError(f"length {length} analyzes to {got} frames, not {n_frames}")
 
 
 @dataclass
@@ -156,7 +178,8 @@ class ComplexSpectrogram:
     """One-sided complex spectrogram plus what is needed to invert it.
 
     ``origin_length`` is the time-domain sample count the spectrogram was
-    computed from (or should synthesize back to by default).
+    computed from (or should synthesize back to by default); it must lie
+    in ``params.synthesis_length``'s range for the frame count.
     """
 
     frames: np.ndarray
@@ -173,8 +196,7 @@ class ComplexSpectrogram:
             )
         if not np.all(np.isfinite(f)):
             raise ValueError("spectrogram contains non-finite values")
-        if self.origin_length < 1:
-            raise ValueError("origin_length must be positive")
+        self.params.synthesis_length(f.shape[0], self.origin_length)
         self.frames = f
 
     @property
@@ -316,19 +338,12 @@ def istft(C: ComplexSpectrogram, target_length: int | None = None) -> Waveform:
     The least-squares inverse of :func:`stft`: exact reconstruction
     wherever the squared-window sum is nonzero, which holds everywhere in
     the valid region for the default parameters.  Linear in ``C``.
+    ``target_length`` (default ``C.origin_length``) must lie in
+    1..``C.params.max_length_for_frames(C.n_frames)``.
     """
-    p = C.params
-    if target_length is None:
-        target_length = C.origin_length
-    if target_length < 1:
-        raise ValueError("target_length must be positive")
-    out_len = (C.n_frames - 1) * p.hop + p.n_fft
-    if p.pad_amount + target_length > out_len:
-        raise ValueError(
-            f"target_length {target_length} exceeds reconstructable length "
-            f"{out_len - p.pad_amount} for {C.n_frames} frames"
-        )
-    return Waveform(_StftPlan(p, target_length, C.n_frames).synthesize(C.frames))
+    length = (C.origin_length if target_length is None
+              else C.params.synthesis_length(C.n_frames, target_length))
+    return Waveform(_StftPlan(C.params, length, C.n_frames).synthesize(C.frames))
 
 
 def spectrogram_from_magnitude(
@@ -339,6 +354,5 @@ def spectrogram_from_magnitude(
 ) -> ComplexSpectrogram:
     """Combine a magnitude array with a phase array (radians) into a spectrogram."""
     mag = np.asarray(magnitude, dtype=np.float64)
-    if origin_length is None:
-        origin_length = p.max_length_for_frames(mag.shape[0])
-    return ComplexSpectrogram(mag * np.exp(1j * phase), p, origin_length)
+    return ComplexSpectrogram(mag * np.exp(1j * phase), p,
+                              p.synthesis_length(mag.shape[0], origin_length))

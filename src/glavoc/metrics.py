@@ -35,8 +35,8 @@ def spectral_convergence(s_ref, s_est) -> float:
 
 def log_spectral_distance(s_ref, s_est, floor: float = DEFAULT_LSD_FLOOR) -> float:
     """RMS log-magnitude ratio in dB, floored to keep silence finite."""
-    if floor <= 0.0:
-        raise ValueError("floor must be positive")
+    if not floor > 0.0:
+        raise ValueError(f"floor must be positive, got {floor}")
     ref, est = _as_pair(s_ref, s_est, "log_spectral_distance")
     d = 20.0 * np.log10((ref + floor) / (est + floor))
     return float(np.sqrt(np.mean(d * d)))

@@ -61,6 +61,8 @@ class GlaConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
@@ -72,15 +74,6 @@ def _check_magnitude(s_hat: np.ndarray, n_frames: int, n_bins: int) -> np.ndarra
     if not np.all(np.isfinite(s)) or s.min() < 0.0:
         raise ValueError("magnitude must be finite and nonnegative")
     return s
-
-
-def _check_frames(C: ComplexSpectrogram) -> None:
-    p = C.params
-    if p.frames_for_length(C.origin_length) != C.n_frames:
-        raise ValueError(
-            f"origin_length {C.origin_length} analyzes to "
-            f"{p.frames_for_length(C.origin_length)} frames, spectrogram has {C.n_frames}"
-        )
 
 
 def _set_magnitude(X: np.ndarray, s: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
@@ -174,7 +167,7 @@ def project_consistent(C: ComplexSpectrogram) -> ComplexSpectrogram:
     Synthesis followed by analysis.  Requires the frame count and
     origin_length to agree, otherwise re-analysis would change shape.
     """
-    _check_frames(C)
+    C.params.check_length(C.n_frames, C.origin_length)
     return stft(istft(C), C.params)
 
 
@@ -191,7 +184,7 @@ def gla(C0: ComplexSpectrogram, s_hat: np.ndarray, iterations: int) -> ComplexSp
     if iterations == 0:
         return C0
     s = _check_magnitude(s_hat, C0.n_frames, C0.params.n_bins)
-    _check_frames(C0)
+    C0.params.check_length(C0.n_frames, C0.origin_length)
     plan = _StftPlan(C0.params, C0.origin_length, C0.n_frames)
     X = _project_rounds(C0.frames.copy(), s, plan, iterations, 0.0)
     return ComplexSpectrogram(X, C0.params, C0.origin_length)
@@ -251,12 +244,8 @@ def fgla(
         raise ValueError(f"magnitude must be 2-D, got shape {s.shape}")
     s = _check_magnitude(s, s.shape[0], params.n_bins)
     params.check_frame_count(s.shape[0])
+    target_length = params.synthesis_length(s.shape[0], target_length)
     C = initial_spectrogram(s, params, cfg)
-    if target_length is None:
-        target_length = C.origin_length
-    if not 1 <= target_length <= C.origin_length:
-        raise ValueError(f"target_length {target_length} outside 1..{C.origin_length} "
-                         f"for {C.n_frames} frames")
     plan = _StftPlan(params, C.origin_length, C.n_frames)
     X = _project_rounds(C.frames, s, plan, cfg.iterations, cfg.momentum)
     return Waveform(plan.synthesize(_set_magnitude(X, s))[:target_length], sample_rate)

@@ -64,6 +64,10 @@ class SamplerConfig:
             raise ValueError(f"noise_shaping must be one of {NOISE_MODES}")
         if not (0.0 <= self.gla_momentum < 1.0):
             raise ValueError("gla_momentum must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.cepstral_order < 1:
+            raise ValueError(f"cepstral_order must be >= 1, got {self.cepstral_order}")
 
 
 def sample(
@@ -71,8 +75,6 @@ def sample(
     mel: MelSpectrogram,
     cfg: SamplerConfig,
     target_length: int = None,
-    initial_state: Waveform = None,
-    inject_noise: bool = True,
 ) -> Waveform:
     """Generate a waveform for a mel spectrogram.
 
@@ -81,11 +83,8 @@ def sample(
     lifted magnitude target before the chain continues.  All randomness
     comes from one generator seeded by the config: prior first, then one
     noise vector per step above 1, so a run is bit-reproducible.
-
-    ``initial_state`` replaces the prior draw and ``inject_noise=False``
-    zeroes the per-step noise; both exist for diagnostics (e.g. driving
-    the chain from a known noised signal) and leave the default behavior
-    untouched.
+    ``target_length`` (default: the longest signal the mel frame count
+    describes) must analyze to exactly the mel's frame count.
     """
     params = cfg.stft_params
     sched = cfg.schedule
@@ -93,36 +92,19 @@ def sample(
     params.check_frame_count(n_mel_frames)
     if target_length is None:
         target_length = params.max_length_for_frames(n_mel_frames)
-    if params.frames_for_length(target_length) != n_mel_frames:
-        raise ValueError(
-            f"target_length {target_length} analyzes to "
-            f"{params.frames_for_length(target_length)} frames but the mel "
-            f"input has {n_mel_frames}"
-        )
+    params.check_length(n_mel_frames, target_length)
     sample_rate = int(mel.filterbank.sample_rate)
     s_hat = pseudo_inverse_magnitude(mel)
 
     rng = np.random.default_rng(cfg.seed)
-    if initial_state is not None:
-        if len(initial_state) != target_length:
-            raise ValueError("initial_state length must equal target_length")
-        y = Waveform(initial_state.samples.copy(), sample_rate)
-    else:
-        prior = Waveform(rng.standard_normal(target_length), sample_rate)
-        if cfg.noise_shaping == "specgrad":
-            envelope = spectral_envelope(s_hat, cfg.cepstral_order)
-            prior = specgrad_shape_noise(prior, envelope, params)
-        y = prior
+    y = Waveform(rng.standard_normal(target_length), sample_rate)
+    if cfg.noise_shaping == "specgrad":
+        y = specgrad_shape_noise(y, spectral_envelope(s_hat, cfg.cepstral_order), params)
 
     n_steps = sched.n_steps
     for n in range(n_steps, 0, -1):
         eps_hat = pred.predict(y, mel, float(np.sqrt(sched.alpha_bars[n - 1])))
-        z = None
-        if n > 1:
-            z_samples = rng.standard_normal(target_length)
-            if not inject_noise:
-                z_samples = np.zeros(target_length)
-            z = Waveform(z_samples, sample_rate)
+        z = Waveform(rng.standard_normal(target_length), sample_rate) if n > 1 else None
         y = reverse_step(y, eps_hat, n, sched, z)
         if n_steps - n < cfg.correction_steps:
             target = s_hat

@@ -79,7 +79,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
                  "--config", str(bogus)]) == 1
     # values the run could not use, each caught at load
     for line in ("hop = 1300", "noise = pink", "correction_steps = 9", "f_max = 20000.0",
-                 "wav_format = pcm24", "schedule = nosuch"):
+                 "wav_format = pcm24", "schedule = nosuch", "lsd_floor = 0",
+                 "lsd_floor = nan", "lsd_floor = inf", "cepstral_order = 0", "seed = -1"):
         unusable = tmp_path / "unusable.cfg"
         unusable.write_text(line + "\n")
         assert main(["analyze", str(ref / "a.wav"), "-o", str(tmp_path / "a.mels"),
@@ -92,7 +93,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "jobs must be >= 1" in err and "center = false" in err
     for message in ("hop 1300 exceeds win_length", "noise_shaping must be one of",
                     "exceeds the 6-step schedule", "Nyquist", "bit_depth must be one of",
-                    "unknown schedule 'nosuch'"):
+                    "unknown schedule 'nosuch'", "lsd_floor must be finite and positive",
+                    "cepstral_order must be >= 1", "seed must be >= 0"):
         assert message in err
 
 

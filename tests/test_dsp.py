@@ -80,12 +80,24 @@ def test_frame_count_formula():
 
 
 def test_max_length_round_trips_frame_count():
-    p = default_params()
-    for T in (5, 17, 221):
-        L = p.max_length_for_frames(T)
-        assert p.frames_for_length(L) == T
-        # one more sample would tip into T+1 frames
-        assert p.frames_for_length(L + 1) == T + 1
+    geometries = (
+        default_params(),
+        StftParams(n_fft=512, hop=96, win_length=400),
+        StftParams(n_fft=512, hop=100, win_length=300, window=np.ones(300),
+                   center_padding=False),
+    )
+    for p in geometries:
+        for T in (5, 17, 221):
+            L = p.max_length_for_frames(T)
+            assert p.frames_for_length(L) == T
+            # one more sample would tip into T+1 frames
+            assert p.frames_for_length(L + 1) == T + 1
+            # the synthesis rule admits exactly 1..L
+            assert p.synthesis_length(T) == L
+            assert p.synthesis_length(T, 1) == 1 and p.synthesis_length(T, L) == L
+            for bad in (0, L + 1):
+                with pytest.raises(ValueError, match="target_length"):
+                    p.synthesis_length(T, bad)
 
 
 # ---------------------------------------------------------------- padding
@@ -234,9 +246,14 @@ def test_istft_honors_target_length():
 def test_istft_rejects_overlong_target():
     p = default_params()
     C = stft(Waveform(np.zeros(3000)), p)
+    longest = p.max_length_for_frames(C.n_frames)
+    assert len(istft(C, target_length=longest)) == longest
+    # past the longest described length: the length error, not a
+    # degenerate normalization further on
     reconstructable = (C.n_frames - 1) * p.hop + p.n_fft - p.pad_amount
-    with pytest.raises(ValueError):
-        istft(C, target_length=reconstructable + 1)
+    for t in (longest + 1, 4500, reconstructable + 1):
+        with pytest.raises(ValueError, match="target_length"):
+            istft(C, target_length=t)
 
 
 def test_spectrogram_from_magnitude_default_length():
@@ -265,3 +282,7 @@ def test_spectrogram_rejects_bad_shapes():
         ComplexSpectrogram(np.zeros((3, 7), dtype=complex), p, 100)
     with pytest.raises(ValueError):
         ComplexSpectrogram(np.full((3, p.n_bins), np.inf + 0j), p, 100)
+    # an origin_length the frames cannot synthesize to
+    for origin_length in (0, p.max_length_for_frames(3) + 1):
+        with pytest.raises(ValueError, match="frames"):
+            ComplexSpectrogram(np.zeros((3, p.n_bins), dtype=complex), p, origin_length)

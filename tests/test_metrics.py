@@ -37,8 +37,9 @@ def test_lsd_cases():
     S = rng.random((6, 30)) + 1.0       # well above the floor
     assert log_spectral_distance(S, S) == 0.0
     assert abs(log_spectral_distance(10.0 * S, S) - 20.0) < 0.01
-    with pytest.raises(ValueError):
-        log_spectral_distance(S, S, floor=0.0)
+    for floor in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="floor"):
+            log_spectral_distance(S, S, floor=floor)
 
 
 def test_lsd_matches_double_loop():

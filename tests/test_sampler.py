@@ -12,7 +12,6 @@ import glavoc.sampler as sampler_mod
 from glavoc.diffusion import (
     OraclePredictor,
     ZeroPredictor,
-    forward_diffuse,
     reverse_step,
     schedule_from_betas,
 )
@@ -116,19 +115,6 @@ def test_uncorrected_sampler_is_plain_reverse_loop():
         z = Waveform(rng.standard_normal(L), 22050) if n > 1 else None
         y = reverse_step(y, eps_hat, n, WG6, z)
     assert np.array_equal(got.samples, y.samples)
-
-
-def test_sampler_chain_identity_from_noised_state():
-    rng = np.random.default_rng(10)
-    eps = Waveform(rng.standard_normal(L))
-    y_n = forward_diffuse(REF, WG6.alpha_bars[-1], eps)
-    cfg = SamplerConfig(correction_steps=0, seed=0)
-    out = sample(
-        OraclePredictor(REF), MEL, cfg,
-        target_length=L, initial_state=y_n, inject_noise=False,
-    )
-    rel = np.linalg.norm(out.samples - REF.samples) / np.linalg.norm(REF.samples)
-    assert rel < 1e-8
 
 
 def test_correction_rescues_a_blind_predictor():
