@@ -67,7 +67,8 @@ def read_wav(path):
     PCM16 maps to [-1, 1) by dividing by 32768; float32 passes through.
     Unknown chunks are skipped, so files with extra metadata still load.
     WAVE_FORMAT_EXTENSIBLE files are read by the format code in their
-    subformat GUID.
+    subformat GUID.  The file's sample rate, which must be positive, is
+    returned in the WavSpec; the Waveform carries none.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -98,6 +99,8 @@ def read_wav(path):
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels != 1:
         raise ValueError(f"{path}: unsupported channel count {channels} (mono only)")
+    if sample_rate <= 0:
+        raise ValueError(f"{path}: bad sample rate {sample_rate}")
     if audio_format == 1 and bits == 16:
         if len(payload) % 2:
             raise ValueError(f"{path}: odd PCM16 payload size")
@@ -115,4 +118,4 @@ def read_wav(path):
         )
     if samples.shape[0] == 0:
         raise ValueError(f"{path}: empty data chunk")
-    return Waveform(samples, sample_rate), WavSpec(sample_rate, depth)
+    return Waveform(samples), WavSpec(sample_rate, depth)

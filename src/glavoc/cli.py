@@ -137,10 +137,10 @@ def main(argv=None) -> int:
 # ------------------------------------------------------------------- commands
 
 def _read_wav_checked(path, cfg) -> "Waveform":
-    wave, _ = read_wav(path)
-    if wave.sample_rate != cfg.sample_rate:
+    wave, spec = read_wav(path)
+    if spec.sample_rate != cfg.sample_rate:
         raise ValueError(
-            f"{path}: sample rate {wave.sample_rate} != configured "
+            f"{path}: sample rate {spec.sample_rate} != configured "
             f"{cfg.sample_rate} (no resampling; adjust the config or the file)"
         )
     return wave
@@ -176,8 +176,7 @@ def cmd_analyze(args, cfg) -> int:
 def cmd_vocode_gla(args, cfg) -> int:
     mel = _load_mel(args.mels, cfg)
     s_hat = pseudo_inverse_magnitude(mel)
-    out = fgla(s_hat, cfg.stft_params(), cfg.gla_config(),
-               sample_rate=cfg.sample_rate)
+    out = fgla(s_hat, cfg.stft_params(), cfg.gla_config())
     write_wav(args.output, out, cfg.wav_spec())
     return 0
 
@@ -224,8 +223,8 @@ def _evaluate_pair(name, ref_dir, est_dir, cfg):
     ref = _read_wav_checked(ref_dir / name, cfg)
     est = _read_wav_checked(est_dir / name, cfg)
     n = min(len(ref), len(est))
-    ref = type(ref)(ref.samples[:n], ref.sample_rate)
-    est = type(est)(est.samples[:n], est.sample_rate)
+    ref = type(ref)(ref.samples[:n])
+    est = type(est)(est.samples[:n])
     ref_mag = stft(ref, params).magnitude()
     est_mag = stft(est, params).magnitude()
     return name, {

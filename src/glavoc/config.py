@@ -56,12 +56,13 @@ class RunConfig:
                 "center = false is not supported: the periodic Hann window is "
                 "zero at its first sample, so uncentered synthesis is degenerate"
             )
-        # the cheap factories check the remaining values; the filterbank
+        # the cheap factories check the remaining values, the geometry and
+        # the rate before the bands that depend on them; the filterbank
         # itself is built only when a command needs it
-        check_bands(self.sample_rate, self.n_mels, self.f_min, self.f_max)
         self.sampler_config()
         self.gla_config()
         self.wav_spec()
+        check_bands(self.sample_rate, self.n_fft, self.n_mels, self.f_min, self.f_max)
 
     # -------------------------------------------------------- serialization
 

@@ -36,7 +36,6 @@ class NoiseSchedule:
     alphas: np.ndarray
     alpha_bars: np.ndarray
     sigmas: np.ndarray
-    rooted_sigma: bool = True
 
     @property
     def n_steps(self) -> int:
@@ -64,7 +63,7 @@ def schedule_from_betas(betas, rooted_sigma: bool = True) -> NoiseSchedule:
     prev = np.concatenate([[1.0], alpha_bars[:-1]])
     ratio = (1.0 - prev) / (1.0 - alpha_bars) * b
     sigmas = np.sqrt(ratio) if rooted_sigma else ratio
-    return NoiseSchedule(b, alphas, alpha_bars, sigmas, rooted_sigma)
+    return NoiseSchedule(b, alphas, alpha_bars, sigmas)
 
 
 def named_schedule(name: str, rooted_sigma: bool = True) -> NoiseSchedule:
@@ -99,7 +98,7 @@ def forward_diffuse(y0: Waveform, alpha_bar: float, eps: Waveform) -> Waveform:
         raise ValueError(f"alpha_bar must lie in [0, 1], got {alpha_bar}")
     _check_same_length(y0, eps, "forward_diffuse")
     out = np.sqrt(alpha_bar) * y0.samples + np.sqrt(1.0 - alpha_bar) * eps.samples
-    return Waveform(out, y0.sample_rate)
+    return Waveform(out)
 
 
 def oracle_epsilon(y_n: Waveform, y0: Waveform, alpha_bar: float) -> Waveform:
@@ -108,7 +107,7 @@ def oracle_epsilon(y_n: Waveform, y0: Waveform, alpha_bar: float) -> Waveform:
         raise ValueError(f"alpha_bar must lie strictly in (0, 1), got {alpha_bar}")
     _check_same_length(y_n, y0, "oracle_epsilon")
     eps = (y_n.samples - np.sqrt(alpha_bar) * y0.samples) / np.sqrt(1.0 - alpha_bar)
-    return Waveform(eps, y_n.sample_rate)
+    return Waveform(eps)
 
 
 def reverse_step(
@@ -132,11 +131,11 @@ def reverse_step(
         - (1.0 - sched.alphas[i]) / np.sqrt(1.0 - sched.alpha_bars[i]) * eps_hat.samples
     ) / np.sqrt(sched.alphas[i])
     if z is None:
-        return Waveform(mean, y_n.sample_rate)
+        return Waveform(mean)
     _check_same_length(y_n, z, "reverse_step noise")
     if n == 1 and np.any(z.samples != 0.0):
         raise ValueError("the final reverse step (n=1) must use z = 0")
-    return Waveform(mean + sched.sigmas[i] * z.samples, y_n.sample_rate)
+    return Waveform(mean + sched.sigmas[i] * z.samples)
 
 
 class NoisePredictor:
@@ -154,7 +153,7 @@ class ZeroPredictor(NoisePredictor):
     """Predicts no noise at all; the reverse chain just rescales its input."""
 
     def predict(self, y_n, mel, sqrt_alpha_bar):
-        return Waveform(np.zeros(len(y_n)), y_n.sample_rate)
+        return Waveform(np.zeros(len(y_n)))
 
 
 class OraclePredictor(NoisePredictor):
@@ -173,9 +172,8 @@ class OraclePredictor(NoisePredictor):
         if ref.shape[0] == n:
             return self.reference
         if ref.shape[0] > n:
-            return Waveform(ref[:n], self.reference.sample_rate)
-        return Waveform(np.concatenate([ref, np.zeros(n - ref.shape[0])]),
-                        self.reference.sample_rate)
+            return Waveform(ref[:n])
+        return Waveform(np.concatenate([ref, np.zeros(n - ref.shape[0])]))
 
     def predict(self, y_n, mel, sqrt_alpha_bar):
         if not (0.0 < sqrt_alpha_bar < 1.0):
@@ -240,5 +238,4 @@ def specgrad_shape_noise(
             f"envelope shape {env.shape} does not match spectrogram {spec.frames.shape}"
         )
     spec.frames = spec.frames * env
-    out = istft(spec, len(eps_white))
-    return Waveform(out.samples, eps_white.sample_rate)
+    return istft(spec, len(eps_white))

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_SAMPLE_RATE = 22050
 NORMALIZATION_FLOOR = 1e-10
 
 
@@ -154,10 +153,12 @@ class StftParams:
 
 @dataclass
 class Waveform:
-    """A mono time-domain signal with its sample rate."""
+    """A mono time-domain signal, without a sample rate.
+
+    A file's rate lives in its WavSpec, a mel spectrogram's in its MelFilterbank.
+    """
 
     samples: np.ndarray
-    sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.float64)
@@ -165,8 +166,6 @@ class Waveform:
             raise ValueError(f"samples must be 1-D, got shape {s.shape}")
         if not np.all(np.isfinite(s)):
             raise ValueError("samples contain non-finite values")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         self.samples = s
 
     def __len__(self):
@@ -196,6 +195,8 @@ class ComplexSpectrogram:
             )
         if not np.all(np.isfinite(f)):
             raise ValueError("spectrogram contains non-finite values")
+        if self.origin_length is None:    # synthesis_length would read it as "the longest"
+            raise ValueError("origin_length is required, got None")
         self.params.synthesis_length(f.shape[0], self.origin_length)
         self.frames = f
 
@@ -347,12 +348,14 @@ def istft(C: ComplexSpectrogram, target_length: int | None = None) -> Waveform:
 
 
 def spectrogram_from_magnitude(
-    magnitude: np.ndarray,
-    phase: np.ndarray,
-    p: StftParams,
-    origin_length: int | None = None,
+    magnitude: np.ndarray, phase: np.ndarray, p: StftParams
 ) -> ComplexSpectrogram:
-    """Combine a magnitude array with a phase array (radians) into a spectrogram."""
+    """Combine a magnitude array with a phase array (radians) into a spectrogram.
+
+    Its origin length is the longest signal the frame count describes.
+    """
     mag = np.asarray(magnitude, dtype=np.float64)
-    return ComplexSpectrogram(mag * np.exp(1j * phase), p,
-                              p.synthesis_length(mag.shape[0], origin_length))
+    frames = 1j * phase    # mag * exp(1j * phase), built in one buffer
+    np.exp(frames, out=frames)
+    frames *= mag
+    return ComplexSpectrogram(frames, p, p.max_length_for_frames(mag.shape[0]))

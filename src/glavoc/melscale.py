@@ -30,15 +30,14 @@ def mel_to_hz(m):
 class MelFilterbank:
     """Triangular mel filter matrix with a lazily cached pseudo-inverse.
 
-    ``weights`` is B x F (bands by frequency bins).  The pseudo-inverse is
+    ``weights`` is B x F (bands by frequency bins), for bins spaced at
+    ``sample_rate``, the rate a mel file records.  The pseudo-inverse is
     computed on first use and cached; computation is guarded by a lock so
     concurrent first access still computes it exactly once.
     """
 
     weights: np.ndarray
     sample_rate: float
-    f_min: float
-    f_max: float
     _pinv: np.ndarray = field(default=None, init=False, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
@@ -92,14 +91,35 @@ class MelSpectrogram:
         return self.frames.shape[0]
 
 
-def check_bands(sample_rate: float, n_bands: int, f_min: float, f_max: float) -> None:
-    """Raise ValueError unless the band layout fits below Nyquist."""
+def _band_edges(sample_rate, n_fft, n_bands, f_min, f_max):
+    """FFT bin frequencies and the B+2 band edges, uniform in mel, in Hz."""
+    bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
+    edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_bands + 2))
+    return bin_freqs, edges
+
+
+def check_bands(sample_rate: float, n_fft: int, n_bands: int, f_min: float, f_max: float) -> None:
+    """Raise ValueError unless the bands fit below Nyquist and each covers an FFT bin.
+
+    Band b is nonzero exactly at the bins strictly between edges b and
+    b+2, so it is empty when no bin frequency falls there; the test
+    counts those bins without building the weights.
+    """
     if not (0.0 <= f_min < f_max <= sample_rate / 2.0):
         raise ValueError(
             f"need 0 <= f_min < f_max <= Nyquist, got [{f_min}, {f_max}] at {sample_rate} Hz"
         )
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
+    bin_freqs, edges = _band_edges(sample_rate, n_fft, n_bands, f_min, f_max)
+    inside = (np.searchsorted(bin_freqs, edges[2:], side="left")
+              - np.searchsorted(bin_freqs, edges[:-2], side="right"))
+    empty = np.flatnonzero(inside <= 0)
+    if empty.size:
+        raise ValueError(
+            f"{empty.size} filters cover no FFT bin (first: band {empty[0]}); "
+            "fewer bands or a wider frequency range is needed"
+        )
 
 
 def mel_filterbank(
@@ -117,10 +137,8 @@ def mel_filterbank(
     """
     if f_max is None:
         f_max = sample_rate / 2.0
-    check_bands(sample_rate, n_bands, f_min, f_max)
-    n_bins = n_fft // 2 + 1
-    bin_freqs = np.arange(n_bins) * sample_rate / n_fft
-    edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_bands + 2))
+    check_bands(sample_rate, n_fft, n_bands, f_min, f_max)
+    bin_freqs, edges = _band_edges(sample_rate, n_fft, n_bands, f_min, f_max)
 
     lower = edges[:-2][:, None]
     center = edges[1:-1][:, None]
@@ -128,14 +146,7 @@ def mel_filterbank(
     up = (bin_freqs[None, :] - lower) / (center - lower)
     down = (upper - bin_freqs[None, :]) / (upper - center)
     weights = np.maximum(0.0, np.minimum(up, down))
-
-    empty = np.flatnonzero(weights.max(axis=1) == 0.0)
-    if empty.size:
-        raise ValueError(
-            f"{empty.size} filters cover no FFT bin (first: band {empty[0]}); "
-            "fewer bands or a wider frequency range is needed"
-        )
-    return MelFilterbank(weights, sample_rate, f_min, f_max)
+    return MelFilterbank(weights, sample_rate)
 
 
 def mel_spectrogram(magnitude: np.ndarray, fb: MelFilterbank) -> MelSpectrogram:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import (
-    DEFAULT_SAMPLE_RATE,
     ComplexSpectrogram,
     StftParams,
     Waveform,
@@ -209,7 +208,7 @@ def gla_correct(
     plan = _StftPlan(params, len(y), params.frames_for_length(len(y)))
     s = _check_magnitude(s_hat, plan.n_frames, params.n_bins)
     X = _project_rounds(plan.analyze(y.samples), s, plan, iterations, momentum)
-    return Waveform(plan.synthesize(X), y.sample_rate)
+    return Waveform(plan.synthesize(X))
 
 
 def initial_spectrogram(
@@ -226,7 +225,6 @@ def fgla(
     params: StftParams,
     cfg: GlaConfig,
     target_length: int = None,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
 ) -> Waveform:
     """Fast Griffin-Lim vocoder: magnitude frames in, waveform out.
 
@@ -237,7 +235,8 @@ def fgla(
     Griffin-Lim.  One final magnitude projection before synthesis keeps
     the emitted signal as close to the target magnitude as the last phase
     estimate allows.  ``target_length`` (default: the longest signal the
-    frame count describes) keeps that many leading samples.
+    frame count describes) keeps that many leading samples, at the rate
+    of the mel the magnitudes came from.
     """
     s = np.asarray(s_hat, dtype=np.float64)
     if s.ndim != 2:
@@ -248,4 +247,4 @@ def fgla(
     C = initial_spectrogram(s, params, cfg)
     plan = _StftPlan(params, C.origin_length, C.n_frames)
     X = _project_rounds(C.frames, s, plan, cfg.iterations, cfg.momentum)
-    return Waveform(plan.synthesize(_set_magnitude(X, s))[:target_length], sample_rate)
+    return Waveform(plan.synthesize(_set_magnitude(X, s))[:target_length])

@@ -93,18 +93,17 @@ def sample(
     if target_length is None:
         target_length = params.max_length_for_frames(n_mel_frames)
     params.check_length(n_mel_frames, target_length)
-    sample_rate = int(mel.filterbank.sample_rate)
     s_hat = pseudo_inverse_magnitude(mel)
 
     rng = np.random.default_rng(cfg.seed)
-    y = Waveform(rng.standard_normal(target_length), sample_rate)
+    y = Waveform(rng.standard_normal(target_length))
     if cfg.noise_shaping == "specgrad":
         y = specgrad_shape_noise(y, spectral_envelope(s_hat, cfg.cepstral_order), params)
 
     n_steps = sched.n_steps
     for n in range(n_steps, 0, -1):
         eps_hat = pred.predict(y, mel, float(np.sqrt(sched.alpha_bars[n - 1])))
-        z = Waveform(rng.standard_normal(target_length), sample_rate) if n > 1 else None
+        z = Waveform(rng.standard_normal(target_length)) if n > 1 else None
         y = reverse_step(y, eps_hat, n, sched, z)
         if n_steps - n < cfg.correction_steps:
             target = s_hat

@@ -57,7 +57,7 @@ def test_pcm16_extremes_read_back_exactly(tmp_path):
 
 def test_header_bytes(tmp_path):
     path = tmp_path / "h.wav"
-    write_wav(path, Waveform(np.zeros(10), 16000), WavSpec(16000, "pcm16"))
+    write_wav(path, Waveform(np.zeros(10)), WavSpec(16000, "pcm16"))
     raw = path.read_bytes()
     assert raw[:4] == b"RIFF"
     assert struct.unpack("<I", raw[4:8])[0] == 36 + 20
@@ -109,6 +109,14 @@ def test_reader_rejects_bad_files(tmp_path):
     truncated.write_bytes(good.read_bytes()[:-10])
     with pytest.raises(ValueError, match="truncated"):
         read_wav(truncated)
+
+    zero_rate = tmp_path / "z.wav"
+    raw = bytearray(good.read_bytes())
+    raw[24:32] = struct.pack("<II", 0, 0)     # sample rate and byte rate
+    zero_rate.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as err:
+        read_wav(zero_rate)
+    assert str(err.value) == f"{zero_rate}: bad sample rate 0"
 
     with pytest.raises(FileNotFoundError):
         read_wav(tmp_path / "missing.wav")

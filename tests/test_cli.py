@@ -1,5 +1,7 @@
 """Config round-tripping, CLI exit codes, and end-to-end command behavior."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from glavoc.melscale import MelSpectrogram, mel_filterbank, read_mels, write_mel
 
 
 def make_wav(path, n=11025, f0=150.0, seed=1, rate=22050):
-    y = Waveform(0.8 * harmonic_signal(f0, sr=rate, n=n, seed=seed), rate)
+    y = Waveform(0.8 * harmonic_signal(f0, sr=rate, n=n, seed=seed))
     write_wav(path, y, WavSpec(rate, "float32"))
     return y
 
@@ -80,7 +82,9 @@ def test_config_errors_exit_1(tmp_path, capsys):
     # values the run could not use, each caught at load
     for line in ("hop = 1300", "noise = pink", "correction_steps = 9", "f_max = 20000.0",
                  "wav_format = pcm24", "schedule = nosuch", "lsd_floor = 0",
-                 "lsd_floor = nan", "lsd_floor = inf", "cepstral_order = 0", "seed = -1"):
+                 "lsd_floor = nan", "lsd_floor = inf", "cepstral_order = 0", "seed = -1",
+                 # mel bands narrower than the FFT bin spacing
+                 "n_mels = 600", "n_fft = 256\nwin_length = 256\nhop = 64"):
         unusable = tmp_path / "unusable.cfg"
         unusable.write_text(line + "\n")
         assert main(["analyze", str(ref / "a.wav"), "-o", str(tmp_path / "a.mels"),
@@ -94,8 +98,10 @@ def test_config_errors_exit_1(tmp_path, capsys):
     for message in ("hop 1300 exceeds win_length", "noise_shaping must be one of",
                     "exceeds the 6-step schedule", "Nyquist", "bit_depth must be one of",
                     "unknown schedule 'nosuch'", "lsd_floor must be finite and positive",
-                    "cepstral_order must be >= 1", "seed must be >= 0"):
+                    "cepstral_order must be >= 1", "seed must be >= 0",
+                    "filters cover no FFT bin"):
         assert message in err
+    assert err.count("filters cover no FFT bin") == 2
 
 
 def test_config_rejects_unusable_values():
@@ -114,6 +120,14 @@ def test_data_errors_exit_2(tmp_path, capsys):
     wrong_rate = tmp_path / "wrong.wav"
     make_wav(wrong_rate, n=8000, rate=16000)
     assert main(["analyze", str(wrong_rate), "-o", str(tmp_path / "o.mels")]) == 2
+
+    # a header claiming 0 Hz
+    zero_rate = tmp_path / "zero.wav"
+    raw = bytearray(wrong_rate.read_bytes())
+    raw[24:32] = struct.pack("<II", 0, 0)     # sample rate and byte rate
+    zero_rate.write_bytes(bytes(raw))
+    assert main(["analyze", str(zero_rate), "-o", str(tmp_path / "o.mels")]) == 2
+    assert f"{zero_rate}: bad sample rate 0" in capsys.readouterr().err
 
     # mel band count disagreeing with the configured filterbank
     fb = mel_filterbank(22050, 2048, 64, 20.0, 11025.0)

@@ -68,7 +68,6 @@ def test_alpha_bars_strictly_decreasing():
 def test_unrooted_sigma_variant():
     plain = schedule_from_betas(WG6.betas, rooted_sigma=False)
     assert np.max(np.abs(plain.sigmas - WG6.sigmas ** 2)) < 1e-15
-    assert not plain.rooted_sigma
 
 
 def test_beta_range_enforced():
@@ -257,7 +256,7 @@ def test_loss_constant_offset():
 
         def predict(self, y_n, mel, sab):
             base = self.inner.predict(y_n, mel, sab)
-            return Waveform(base.samples + self.c, base.sample_rate)
+            return Waveform(base.samples + self.c)
 
     rng = np.random.default_rng(10)
     y0 = Waveform(rng.standard_normal(1000))
@@ -348,7 +347,7 @@ def test_shaping_lowpass_suppresses_high_band():
     p = StftParams()
     sr = 22050
     n = 44100
-    eps = Waveform(rng.standard_normal(n), sr)
+    eps = Waveform(rng.standard_normal(n))
     T = p.frames_for_length(n)
     bin_freqs = np.arange(p.n_bins) * sr / p.n_fft
     env = np.where(bin_freqs < 4000.0, 1.0, 0.01)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glavoc.dsp import (
     ComplexSpectrogram,
@@ -98,6 +99,38 @@ def test_max_length_round_trips_frame_count():
             for bad in (0, L + 1):
                 with pytest.raises(ValueError, match="target_length"):
                     p.synthesis_length(T, bad)
+
+
+# host timings drift, so no deadline; derandomized so every run checks the
+# same geometries
+@settings(deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_length_rules_agree_on_any_geometry(data):
+    n_fft = data.draw(st.integers(1, 4096), "n_fft")
+    win = data.draw(st.integers(1, n_fft), "win_length")
+    hop = data.draw(st.integers(1, win), "hop")
+    p = StftParams(n_fft, hop, win, window=np.ones(win),
+                   center_padding=data.draw(st.booleans(), "center"))
+    fewest = p.frames_for_length(1)
+    for n in range(fewest, fewest + 40):
+        longest = p.max_length_for_frames(n)
+        assert p.frames_for_length(longest) == n
+        assert p.frames_for_length(longest + 1) == n + 1
+        assert p.synthesis_length(n) == longest
+        assert p.synthesis_length(n, 1) == 1 and p.synthesis_length(n, longest) == longest
+        for bad in (0, longest + 1):
+            with pytest.raises(ValueError, match="target_length"):
+                p.synthesis_length(n, bad)
+        # the lengths that analyze to n frames, and only they, pass check_length
+        shortest = p.max_length_for_frames(n - 1) + 1 if n > fewest else 1
+        for length in {1, shortest - 1, shortest, longest, longest + 1} - {0}:
+            if shortest <= length <= longest:
+                assert p.frames_for_length(length) == n
+                p.check_length(n, length)
+            else:
+                assert p.frames_for_length(length) != n
+                with pytest.raises(ValueError, match="analyzes to"):
+                    p.check_length(n, length)
 
 
 # ---------------------------------------------------------------- padding
@@ -263,6 +296,12 @@ def test_spectrogram_from_magnitude_default_length():
     C = spectrogram_from_magnitude(mag, phase, p)
     assert C.origin_length == p.max_length_for_frames(20)
     assert np.array_equal(C.frames, mag.astype(complex))
+    # the in-place product has the bits of the plain expression
+    rng = np.random.default_rng(3)
+    mag = rng.random((20, p.n_bins))
+    phase = rng.uniform(-np.pi, np.pi, mag.shape)
+    C = spectrogram_from_magnitude(mag, phase, p)
+    assert np.array_equal(C.frames.view(np.float64), (mag * np.exp(1j * phase)).view(np.float64))
 
 
 # ---------------------------------------------------------------- dataclasses
@@ -272,7 +311,7 @@ def test_waveform_rejects_bad_input():
         Waveform(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         Waveform(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):     # a waveform carries no sample rate
         Waveform(np.zeros(4), sample_rate=0)
 
 
@@ -286,3 +325,5 @@ def test_spectrogram_rejects_bad_shapes():
     for origin_length in (0, p.max_length_for_frames(3) + 1):
         with pytest.raises(ValueError, match="frames"):
             ComplexSpectrogram(np.zeros((3, p.n_bins), dtype=complex), p, origin_length)
+    with pytest.raises(ValueError, match="origin_length"):
+        ComplexSpectrogram(np.zeros((3, p.n_bins), dtype=complex), p, None)

@@ -1,5 +1,6 @@
 """Mel filterbank, pseudo-inverse lift, and interchange-format tests."""
 
+import itertools
 import struct
 import threading
 
@@ -11,6 +12,7 @@ from signals import harmonic_signal
 from glavoc.dsp import StftParams, Waveform, stft
 from glavoc.melscale import (
     MelSpectrogram,
+    check_bands,
     hz_to_mel,
     mel_filterbank,
     mel_spectrogram,
@@ -63,6 +65,25 @@ def test_infeasible_layout_is_an_error():
         mel_filterbank(22050, 2048, 64, 20.0, 60.0)
     with pytest.raises(ValueError):
         mel_filterbank(22050, 2048, 128, 500.0, 100.0)
+
+
+def test_band_check_agrees_with_built_triangles():
+    # check_bands counts the bins between band edges; the reference builds
+    # the triangles and looks for all-zero rows
+    for sr, n_fft, n_bands, f_min in itertools.product(
+            (16000, 22050), (256, 512, 2048), (40, 128, 600), (0.0, 20.0)):
+        bins = np.arange(n_fft // 2 + 1) * sr / n_fft
+        edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(sr / 2), n_bands + 2))
+        lo, mid, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+        w = np.maximum(0.0, np.minimum((bins - lo) / (mid - lo), (hi - bins) / (hi - mid)))
+        empty = np.flatnonzero(w.max(axis=1) == 0.0)
+        if empty.size:
+            with pytest.raises(ValueError) as err:
+                check_bands(sr, n_fft, n_bands, f_min, sr / 2)
+            assert str(err.value).startswith(
+                f"{empty.size} filters cover no FFT bin (first: band {empty[0]})")
+        else:
+            check_bands(sr, n_fft, n_bands, f_min, sr / 2)
 
 
 def test_mel_spectrogram_zero_and_ones():
