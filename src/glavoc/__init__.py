@@ -27,7 +27,6 @@ from .dsp import (
     Waveform,
     hann_window,
     istft,
-    spectrogram_from_magnitude,
     stft,
 )
 from .melscale import (

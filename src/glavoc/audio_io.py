@@ -14,6 +14,9 @@ from .dsp import Waveform
 
 BIT_DEPTHS = ("pcm16", "float32")
 PCM16_SCALE = 32768.0
+# the largest integer a float32 .mels header stores exactly; it also keeps
+# the byte rate, 4 bytes per float32 sample, inside the u32 header field
+MAX_SAMPLE_RATE = 1 << 24
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # bytes 4-15 of every KSDATAFORMAT_SUBTYPE GUID; bytes 0-3 hold the format code
 _SUBTYPE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
@@ -29,8 +32,10 @@ class WavSpec:
     def __post_init__(self):
         if self.bit_depth not in BIT_DEPTHS:
             raise ValueError(f"bit_depth must be one of {BIT_DEPTHS}")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate <= MAX_SAMPLE_RATE:
+            raise ValueError(
+                f"sample_rate must lie in 1..{MAX_SAMPLE_RATE}, got {self.sample_rate}"
+            )
 
 
 def write_wav(path, y: Waveform, spec: WavSpec) -> None:
@@ -67,8 +72,8 @@ def read_wav(path):
     PCM16 maps to [-1, 1) by dividing by 32768; float32 passes through.
     Unknown chunks are skipped, so files with extra metadata still load.
     WAVE_FORMAT_EXTENSIBLE files are read by the format code in their
-    subformat GUID.  The file's sample rate, which must be positive, is
-    returned in the WavSpec; the Waveform carries none.
+    subformat GUID.  The file's sample rate, which must lie in
+    1..MAX_SAMPLE_RATE, is returned in the WavSpec; the Waveform carries none.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -99,7 +104,7 @@ def read_wav(path):
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels != 1:
         raise ValueError(f"{path}: unsupported channel count {channels} (mono only)")
-    if sample_rate <= 0:
+    if not 0 < sample_rate <= MAX_SAMPLE_RATE:
         raise ValueError(f"{path}: bad sample rate {sample_rate}")
     if audio_format == 1 and bits == 16:
         if len(payload) % 2:

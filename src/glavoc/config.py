@@ -51,15 +51,12 @@ class RunConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if not 0.0 < self.lsd_floor < math.inf:
             raise ValueError(f"lsd_floor must be finite and positive, got {self.lsd_floor}")
-        if not self.center:
-            raise ValueError(
-                "center = false is not supported: the periodic Hann window is "
-                "zero at its first sample, so uncentered synthesis is degenerate"
-            )
         # the cheap factories check the remaining values, the geometry and
         # the rate before the bands that depend on them; the filterbank
-        # itself is built only when a command needs it
-        self.sampler_config()
+        # itself is built only when a command needs it.  A geometry whose
+        # synthesis cannot normalize every sample fails here, as does the
+        # uncentered Hann, which is zero at the first output sample.
+        self.sampler_config().stft_params.check_synthesis()
         self.gla_config()
         self.wav_spec()
         check_bands(self.sample_rate, self.n_fft, self.n_mels, self.f_min, self.f_max)

@@ -13,8 +13,9 @@ centered on sample ``t * hop`` when center padding is on.  All arithmetic
 is double precision.
 
 :class:`StftParams` alone decides which signal lengths a frame count
-describes.  :meth:`~StftParams.synthesis_length` admits the lengths n
-frames synthesize to, 1 up to :meth:`~StftParams.max_length_for_frames`;
+describes: :meth:`~StftParams.max_length_for_frames` gives the longest and
+rejects a count that no signal analyzes to.
+:meth:`~StftParams.synthesis_length` admits 1 up to that longest;
 :func:`istft`, :class:`ComplexSpectrogram` and :func:`glavoc.phase.fgla`
 accept those.  :meth:`~StftParams.check_length` admits only the lengths
 that analyze back to exactly n frames, which a projection round needs.
@@ -111,11 +112,12 @@ class StftParams:
         total = n_samples + 2 * self.pad_amount
         return max(1, math.ceil((total - self.win_length) / self.hop) + 1)
 
-    def check_frame_count(self, n_frames: int) -> None:
-        """Raise ValueError unless some signal analyzes to ``n_frames`` frames.
+    def max_length_for_frames(self, n_frames: int) -> int:
+        """Longest signal length that analyzes to exactly ``n_frames`` frames.
 
-        A one-sample signal gives the fewest frames, and each further
-        sample adds at most one, so every count from there up is reachable.
+        Raises ValueError when no signal does.  A one-sample signal gives
+        the fewest frames, and each further sample adds at most one, so
+        every count from there up is reachable.
         """
         fewest = self.frames_for_length(1)
         if n_frames < fewest:
@@ -124,18 +126,14 @@ class StftParams:
                 f"frames under this geometry (n_fft {self.n_fft}, hop {self.hop}, "
                 f"win_length {self.win_length})"
             )
-
-    def max_length_for_frames(self, n_frames: int) -> int:
-        """Longest signal length that analyzes to exactly ``n_frames`` frames."""
-        if n_frames < 1:
-            raise ValueError("n_frames must be positive")
-        return max(1, (n_frames - 1) * self.hop + self.win_length - 2 * self.pad_amount)
+        return (n_frames - 1) * self.hop + self.win_length - 2 * self.pad_amount
 
     def synthesis_length(self, n_frames: int, length: int | None = None) -> int:
         """Length to synthesize ``n_frames`` frames to: ``length``, by default the longest.
 
-        Raises ValueError unless 1 <= length <= max_length_for_frames(n_frames);
-        a longer signal would analyze to more frames.
+        Raises ValueError when no signal analyzes to ``n_frames`` frames, and
+        unless 1 <= length <= max_length_for_frames(n_frames); a longer signal
+        would analyze to more frames.
         """
         longest = self.max_length_for_frames(n_frames)
         if length is None:
@@ -149,6 +147,16 @@ class StftParams:
         got = self.frames_for_length(length)
         if got != n_frames:
             raise ValueError(f"length {length} analyzes to {got} frames, not {n_frames}")
+
+    def check_synthesis(self) -> None:
+        """Raise ValueError unless synthesis can normalize every output sample.
+
+        Builds the squared-window normalizer of one probe plan of
+        2 * (n_fft + hop) samples, long enough to hold both edges of the
+        output region and a stretch of its interior.
+        """
+        length = 2 * (self.n_fft + self.hop)
+        _StftPlan(self, length, self.frames_for_length(length))._build_norm()
 
 
 @dataclass
@@ -250,9 +258,12 @@ class _StftPlan:
         wsq = self.p.window * self.p.window
         norm = self._overlap_add(np.broadcast_to(wsq, (self.n_frames, wsq.shape[0])))
         if norm.min() < NORMALIZATION_FLOOR:
+            p = self.p
             raise ValueError(
                 "degenerate synthesis normalization: squared-window sum below "
-                f"{NORMALIZATION_FLOOR} inside the output region"
+                f"{NORMALIZATION_FLOOR} inside the output region (n_fft {p.n_fft}, "
+                f"hop {p.hop}, win_length {p.win_length}, "
+                f"center {'on' if p.center_padding else 'off'})"
             )
         return norm
 
@@ -327,8 +338,6 @@ def stft(y: Waveform, p: StftParams) -> ComplexSpectrogram:
     pad_total is the total reflect padding.  The map is linear in ``y``.
     """
     x = y.samples
-    if x.shape[0] == 0:
-        raise ValueError("cannot analyze an empty signal")
     plan = _StftPlan(p, x.shape[0], p.frames_for_length(x.shape[0]))
     return ComplexSpectrogram(plan.analyze(x), p, x.shape[0])
 
@@ -346,16 +355,3 @@ def istft(C: ComplexSpectrogram, target_length: int | None = None) -> Waveform:
               else C.params.synthesis_length(C.n_frames, target_length))
     return Waveform(_StftPlan(C.params, length, C.n_frames).synthesize(C.frames))
 
-
-def spectrogram_from_magnitude(
-    magnitude: np.ndarray, phase: np.ndarray, p: StftParams
-) -> ComplexSpectrogram:
-    """Combine a magnitude array with a phase array (radians) into a spectrogram.
-
-    Its origin length is the longest signal the frame count describes.
-    """
-    mag = np.asarray(magnitude, dtype=np.float64)
-    frames = 1j * phase    # mag * exp(1j * phase), built in one buffer
-    np.exp(frames, out=frames)
-    frames *= mag
-    return ComplexSpectrogram(frames, p, p.max_length_for_frames(mag.shape[0]))

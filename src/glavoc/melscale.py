@@ -8,8 +8,7 @@ frames can serve directly as fixed-magnitude targets for phase retrieval.
 """
 
 import struct
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,18 +27,14 @@ def mel_to_hz(m):
 
 @dataclass
 class MelFilterbank:
-    """Triangular mel filter matrix with a lazily cached pseudo-inverse.
+    """Triangular mel filter matrix.
 
     ``weights`` is B x F (bands by frequency bins), for bins spaced at
-    ``sample_rate``, the rate a mel file records.  The pseudo-inverse is
-    computed on first use and cached; computation is guarded by a lock so
-    concurrent first access still computes it exactly once.
+    ``sample_rate``, the rate a mel file records.
     """
 
     weights: np.ndarray
     sample_rate: float
-    _pinv: np.ndarray = field(default=None, init=False, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -59,12 +54,8 @@ class MelFilterbank:
 
     @property
     def pseudo_inverse(self) -> np.ndarray:
-        """F x B Moore-Penrose pseudo-inverse of the filter matrix."""
-        if self._pinv is None:
-            with self._lock:
-                if self._pinv is None:
-                    self._pinv = np.linalg.pinv(self.weights, rcond=1e-8)
-        return self._pinv
+        """F x B Moore-Penrose pseudo-inverse of the filter matrix, computed on each access."""
+        return np.linalg.pinv(self.weights, rcond=1e-8)
 
 
 @dataclass
@@ -111,6 +102,8 @@ def check_bands(sample_rate: float, n_fft: int, n_bands: int, f_min: float, f_ma
         )
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
+    if n_fft < 1:
+        raise ValueError(f"n_fft must be >= 1, got {n_fft}")
     bin_freqs, edges = _band_edges(sample_rate, n_fft, n_bands, f_min, f_max)
     inside = (np.searchsorted(bin_freqs, edges[2:], side="left")
               - np.searchsorted(bin_freqs, edges[:-2], side="right"))
@@ -162,7 +155,7 @@ def mel_spectrogram(magnitude: np.ndarray, fb: MelFilterbank) -> MelSpectrogram:
 def pseudo_inverse_magnitude(mel: MelSpectrogram) -> np.ndarray:
     """Estimate full-resolution magnitudes from mel frames.
 
-    Least-squares lift through the cached pseudo-inverse, with negative
+    Least-squares lift through the pseudo-inverse, with negative
     outputs clamped to zero: magnitudes cannot go below zero, and the
     clamped frames feed the fixed-magnitude projection directly.
     """
@@ -175,15 +168,20 @@ def write_mels(path, mel: MelSpectrogram) -> None:
 
     Layout, all little-endian: magic "MELS", u32 version, u32 frame count,
     u32 band count, f32 sample rate, then the frames as float32 row-major.
+    Raises ValueError, before the file is opened, when float32 does not hold
+    the sample rate exactly or a frame value overflows it.
     """
-    frames = mel.frames
-    header = MELS_MAGIC + struct.pack(
-        "<III f", MELS_VERSION, frames.shape[0], frames.shape[1],
-        float(mel.filterbank.sample_rate),
-    )
+    rate = float(mel.filterbank.sample_rate)
+    with np.errstate(over="ignore"):    # an overflow is reported below, with the path
+        if float(np.float32(rate)) != rate:
+            raise ValueError(f"{path}: sample rate {rate} has no exact float32 form")
+        frames = np.ascontiguousarray(mel.frames, dtype="<f4")
+    if not np.all(np.isfinite(frames)):
+        raise ValueError(f"{path}: mel values overflow float32")
+    header = MELS_MAGIC + struct.pack("<III f", MELS_VERSION, *frames.shape, rate)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(frames, dtype="<f4").tobytes())
+        fh.write(frames.tobytes())
 
 
 def read_mels(path):

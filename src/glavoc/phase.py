@@ -35,7 +35,6 @@ from .dsp import (
     Waveform,
     _StftPlan,
     istft,
-    spectrogram_from_magnitude,
     stft,
 )
 
@@ -211,13 +210,24 @@ def gla_correct(
     return Waveform(plan.synthesize(X))
 
 
+def _initial_frames(s: np.ndarray, seed: int) -> np.ndarray:
+    """The magnitudes ``s`` under seeded uniform random phase, built in one buffer."""
+    X = 1j * np.random.default_rng(seed).uniform(-np.pi, np.pi, size=s.shape)
+    np.exp(X, out=X)
+    X *= s
+    return X
+
+
 def initial_spectrogram(
     s_hat: np.ndarray, params: StftParams, cfg: GlaConfig
 ) -> ComplexSpectrogram:
-    """Starting iterate: the target magnitude under seeded uniform random phase."""
+    """Starting iterate: the target magnitude under seeded uniform random phase.
+
+    Its origin length is the longest signal the frame count describes.
+    """
     s = np.asarray(s_hat, dtype=np.float64)
-    phase = np.random.default_rng(cfg.seed).uniform(-np.pi, np.pi, size=s.shape)
-    return spectrogram_from_magnitude(s, phase, params)
+    return ComplexSpectrogram(_initial_frames(s, cfg.seed), params,
+                              params.max_length_for_frames(s.shape[0]))
 
 
 def fgla(
@@ -242,9 +252,7 @@ def fgla(
     if s.ndim != 2:
         raise ValueError(f"magnitude must be 2-D, got shape {s.shape}")
     s = _check_magnitude(s, s.shape[0], params.n_bins)
-    params.check_frame_count(s.shape[0])
     target_length = params.synthesis_length(s.shape[0], target_length)
-    C = initial_spectrogram(s, params, cfg)
-    plan = _StftPlan(params, C.origin_length, C.n_frames)
-    X = _project_rounds(C.frames, s, plan, cfg.iterations, cfg.momentum)
+    plan = _StftPlan(params, params.max_length_for_frames(s.shape[0]), s.shape[0])
+    X = _project_rounds(_initial_frames(s, cfg.seed), s, plan, cfg.iterations, cfg.momentum)
     return Waveform(plan.synthesize(_set_magnitude(X, s))[:target_length])

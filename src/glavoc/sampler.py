@@ -89,9 +89,7 @@ def sample(
     params = cfg.stft_params
     sched = cfg.schedule
     n_mel_frames = mel.n_frames
-    params.check_frame_count(n_mel_frames)
-    if target_length is None:
-        target_length = params.max_length_for_frames(n_mel_frames)
+    target_length = params.synthesis_length(n_mel_frames, target_length)
     params.check_length(n_mel_frames, target_length)
     s_hat = pseudo_inverse_magnitude(mel)
 

@@ -1,11 +1,13 @@
 """WAV boundary: header bytes, clamp/round semantics, round trips."""
 
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from glavoc.audio_io import WavSpec, read_wav, write_wav
+from glavoc.audio_io import MAX_SAMPLE_RATE, WavSpec, read_wav, write_wav
 from glavoc.dsp import Waveform
 
 
@@ -19,6 +21,40 @@ def test_float32_round_trip_is_bit_exact(tmp_path):
     assert spec.sample_rate == 22050
     assert np.array_equal(back.samples, y.samples)
     assert path.stat().st_size == 44 + 5000 * 4
+
+
+def pcm16_reference(x: float) -> float:
+    """The documented rule, one sample at a time: clamp, scale, round half away."""
+    c = min(max(x, -1.0), 32767.0 / 32768.0) * 32768.0
+    return math.copysign(math.floor(abs(c) + 0.5), c) / 32768.0
+
+
+# host timings drift, so no deadline; derandomized so every run checks the
+# same files
+@settings(deadline=None, derandomize=True, database=None)
+@given(
+    bit_depth=st.sampled_from(("float32", "pcm16")),
+    rate=st.integers(1, MAX_SAMPLE_RATE),
+    samples=st.lists(
+        st.one_of(
+            st.floats(-3.4e38, 3.4e38),
+            st.floats(-4.0, 4.0),
+            # whole and half steps of the pcm16 grid, clamp edges included
+            st.integers(-70000, 70000).map(lambda k: k / 65536.0),
+        ),
+        min_size=1, max_size=300,
+    ),
+)
+def test_round_trip_on_any_file(tmp_path_factory, bit_depth, rate, samples):
+    path = tmp_path_factory.mktemp("wav") / "x.wav"
+    x = np.array(samples)
+    write_wav(path, Waveform(x), WavSpec(rate, bit_depth))
+    back, spec = read_wav(path)
+    assert spec == WavSpec(rate, bit_depth)
+    if bit_depth == "float32":
+        assert np.array_equal(back.samples, x.astype(np.float32).astype(np.float64))
+    else:
+        assert np.array_equal(back.samples, [pcm16_reference(v) for v in samples])
 
 
 def test_pcm16_round_trip_error_bound(tmp_path):
@@ -117,6 +153,12 @@ def test_reader_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError) as err:
         read_wav(zero_rate)
     assert str(err.value) == f"{zero_rate}: bad sample rate 0"
+    high_rate = tmp_path / "h.wav"
+    raw[24:32] = struct.pack("<II", MAX_SAMPLE_RATE + 1, 2 * (MAX_SAMPLE_RATE + 1))
+    high_rate.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as err:
+        read_wav(high_rate)
+    assert str(err.value) == f"{high_rate}: bad sample rate 16777217"
 
     with pytest.raises(FileNotFoundError):
         read_wav(tmp_path / "missing.wav")
@@ -143,6 +185,11 @@ def test_spec_validation():
         WavSpec(22050, "mp3")
     with pytest.raises(ValueError):
         WavSpec(0, "pcm16")
+    # 2^24 Hz is the largest rate a .mels header holds exactly
+    assert WavSpec(MAX_SAMPLE_RATE, "float32").sample_rate == 16777216
+    for rate in (MAX_SAMPLE_RATE + 1, 2_000_000_000):
+        with pytest.raises(ValueError, match="1..16777216"):
+            WavSpec(rate, "float32")
 
 
 # bytes 4-15 of the KSDATAFORMAT_SUBTYPE_PCM and _IEEE_FLOAT GUIDs

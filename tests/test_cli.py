@@ -10,7 +10,7 @@ from signals import harmonic_signal
 from glavoc.audio_io import WavSpec, read_wav, write_wav
 from glavoc.cli import build_parser, main, resolve_config
 from glavoc.config import RunConfig, load_config
-from glavoc.dsp import Waveform
+from glavoc.dsp import StftParams, Waveform
 from glavoc.melscale import MelSpectrogram, mel_filterbank, read_mels, write_mels
 
 
@@ -84,7 +84,12 @@ def test_config_errors_exit_1(tmp_path, capsys):
                  "wav_format = pcm24", "schedule = nosuch", "lsd_floor = 0",
                  "lsd_floor = nan", "lsd_floor = inf", "cepstral_order = 0", "seed = -1",
                  # mel bands narrower than the FFT bin spacing
-                 "n_mels = 600", "n_fft = 256\nwin_length = 256\nhop = 64"):
+                 "n_mels = 600", "n_fft = 256\nwin_length = 256\nhop = 64",
+                 # hops whose synthesis leaves a sample unnormalized
+                 "hop = 1198", "hop = 1200",
+                 # rates the WAV and .mels headers cannot hold
+                 "sample_rate = 16777217\nn_mels = 1\nf_min = 0.0",
+                 "sample_rate = 2000000000\nn_mels = 1\nf_min = 0.0"):
         unusable = tmp_path / "unusable.cfg"
         unusable.write_text(line + "\n")
         assert main(["analyze", str(ref / "a.wav"), "-o", str(tmp_path / "a.mels"),
@@ -94,7 +99,12 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["analyze", str(ref / "a.wav"), "-o", str(tmp_path / "a.mels"),
                  "--config", str(tmp_path / "missing.cfg")]) == 2
     err = capsys.readouterr().err
-    assert "jobs must be >= 1" in err and "center = false" in err
+    assert "jobs must be >= 1" in err
+    # the uncentered Hann is zero at the first output sample
+    assert err.count("degenerate synthesis normalization") == 3
+    assert "hop 300, win_length 1200, center off" in err
+    assert "hop 1198, win_length 1200, center on" in err
+    assert err.count("sample_rate must lie in 1..16777216") == 2
     for message in ("hop 1300 exceeds win_length", "noise_shaping must be one of",
                     "exceeds the 6-step schedule", "Nyquist", "bit_depth must be one of",
                     "unknown schedule 'nosuch'", "lsd_floor must be finite and positive",
@@ -107,7 +117,7 @@ def test_config_errors_exit_1(tmp_path, capsys):
 def test_config_rejects_unusable_values():
     with pytest.raises(ValueError, match="jobs"):
         RunConfig(jobs=0)
-    with pytest.raises(ValueError, match="center"):
+    with pytest.raises(ValueError, match="degenerate synthesis normalization.*center off"):
         RunConfig.from_text("center = false\n")
     with pytest.raises(ValueError, match="jobs"):
         RunConfig.from_text("", {"jobs": -1})
@@ -236,6 +246,56 @@ def test_evaluate_pairs(tmp_path, capsys):
     assert sum(1 for ln in lines if ln.startswith("a.wav,")) == 3
     assert sum(1 for ln in lines if ln.startswith("b.wav,")) == 3
     assert any(ln.startswith("__mean__,snr,") for ln in lines)
+    capsys.readouterr()
+
+
+def test_edge_inputs_have_defined_exits(tmp_path, capsys):
+    # each clip through every command; an empty message means exit 0
+    n = 4000
+    clips = {
+        "silence": np.zeros(n),
+        "huge": 1e37 * np.sin(2 * np.pi * 220 * np.arange(n) / 22050),
+        "one_sample": np.array([0.5]),
+    }
+    no_snr = "snr needs a nonzero reference"
+    overflow = "a.mels: mel values overflow float32"
+    expected = {
+        "silence": ["", "", "", "", no_snr, no_snr],
+        # analyze refuses the mel it cannot store, so the vocoders find no file
+        "huge": [overflow] + ["No such file"] * 3 + [overflow, ""],
+        "one_sample": [""] * 6,
+    }
+    for name, x in clips.items():
+        d = tmp_path / name
+        (d / "ref").mkdir(parents=True)
+        wav, mels = d / "ref" / "a.wav", d / "a.mels"
+        write_wav(wav, Waveform(x), WavSpec(22050, "float32"))
+        runs = [
+            ["analyze", wav, "-o", mels],
+            ["vocode-gla", mels, "-o", d / "gla.wav", "--iters", "4"],
+            ["vocode", mels, "-o", d / "zero.wav", "--predictor", "zero"],
+            ["vocode", mels, "-o", d / "oracle.wav", "--predictor", f"oracle:{wav}"],
+            ["simulate", wav, "-o", d / "sim"],
+            ["evaluate", d / "ref", d / "ref", "-o", d / "report.csv"],
+        ]
+        for argv, message in zip(runs, expected[name]):
+            code = main([str(a) for a in argv])
+            err = capsys.readouterr().err
+            assert code == (2 if message else 0), (name, argv[0])
+            assert message in err and ("glavoc: error" in err) == bool(message), (name, argv[0])
+        # the vocoders synthesize the longest length the mel's frames describe
+        p = StftParams()
+        longest = p.max_length_for_frames(p.frames_for_length(len(x)))
+        for out in ("gla.wav", "zero.wav", "oracle.wav"):
+            if (d / out).exists():
+                assert len(read_wav(d / out)[0]) == longest
+    assert not (tmp_path / "huge" / "a.mels").exists()
+    assert not (tmp_path / "huge" / "sim" / "a.mels").exists()
+    # the 1e37 clip as the oracle's reference, under silence's mel
+    out = tmp_path / "huge_oracle.wav"
+    assert main(["vocode", str(tmp_path / "silence" / "a.mels"), "-o", str(out),
+                 "--predictor", f"oracle:{tmp_path / 'huge' / 'ref' / 'a.wav'}"]) == 0
+    assert 1e36 < np.max(np.abs(read_wav(out)[0].samples)) < 1e38
     capsys.readouterr()
 
 

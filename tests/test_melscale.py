@@ -2,7 +2,7 @@
 
 import itertools
 import struct
-import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from signals import harmonic_signal
 
 from glavoc.dsp import StftParams, Waveform, stft
 from glavoc.melscale import (
+    MelFilterbank,
     MelSpectrogram,
     check_bands,
     hz_to_mel,
@@ -65,6 +66,12 @@ def test_infeasible_layout_is_an_error():
         mel_filterbank(22050, 2048, 64, 20.0, 60.0)
     with pytest.raises(ValueError):
         mel_filterbank(22050, 2048, 128, 500.0, 100.0)
+    # rejected before the bin spacing divides by it
+    for n_fft in (0, -4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"n_fft must be >= 1, got {n_fft}"):
+                mel_filterbank(22050, n_fft)
 
 
 def test_band_check_agrees_with_built_triangles():
@@ -133,23 +140,6 @@ def test_pseudo_inverse_identity():
     assert eye_err / np.sqrt(128) < 1e-6
 
 
-def test_pseudo_inverse_computed_once_under_threads():
-    fb = default_fb()
-    results = [None] * 8
-    barrier = threading.Barrier(8)
-
-    def grab(i):
-        barrier.wait()
-        results[i] = fb.pseudo_inverse
-
-    threads = [threading.Thread(target=grab, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r is results[0] for r in results)
-
-
 def test_lift_zero_and_clamp():
     fb = default_fb()
     zero = pseudo_inverse_magnitude(MelSpectrogram(np.zeros((3, 128)), fb))
@@ -192,6 +182,13 @@ def test_mels_file_round_trip(tmp_path):
     # float32 storage is the only loss
     assert np.max(np.abs(back - frames)) < 1e-6
     assert path.stat().st_size == 20 + 40 * 128 * 4
+    # what the format cannot hold is refused before the file is opened
+    with pytest.raises(ValueError, match="mel values overflow float32"):
+        write_mels(tmp_path / "huge.mels", MelSpectrogram(np.full((4, 128), 1e39), fb))
+    for rate in (22050.1, 16777217.0):    # float32 holds neither
+        with pytest.raises(ValueError, match="no exact float32 form"):
+            write_mels(tmp_path / "rate.mels", MelSpectrogram(frames, MelFilterbank(fb.weights, rate)))
+    assert not (tmp_path / "huge.mels").exists() and not (tmp_path / "rate.mels").exists()
 
 
 def test_mels_rejects_corruption(tmp_path):

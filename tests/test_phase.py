@@ -84,10 +84,10 @@ def test_magnitude_projection_identity_case():
 
 
 def test_zero_entries_get_unit_phase():
-    frames = np.zeros((3, P.n_bins), dtype=complex)
+    frames = np.zeros((4, P.n_bins), dtype=complex)
     frames[1, 10] = 2.0 - 1.0j
-    C = ComplexSpectrogram(frames, P, P.max_length_for_frames(3))
-    target = np.full((3, P.n_bins), 3.0)
+    C = ComplexSpectrogram(frames, P, P.max_length_for_frames(4))
+    target = np.full((4, P.n_bins), 3.0)
     out = project_magnitude(C, target)
     assert out.frames[0, 0] == 3.0 + 0.0j
     assert out.frames[2, 500] == 3.0 + 0.0j
@@ -158,6 +158,17 @@ def test_gla_distance_is_non_increasing():
 
 
 # ----------------------------------------------------------------------- FGLA
+
+def test_initial_spectrogram_default_length():
+    rng = np.random.default_rng(3)
+    s_hat = rng.random((20, P.n_bins))
+    C = initial_spectrogram(s_hat, P, GlaConfig(seed=8))
+    assert C.origin_length == P.max_length_for_frames(20)
+    # the in-place product has the bits of the plain expression
+    phase_draw = np.random.default_rng(8).uniform(-np.pi, np.pi, s_hat.shape)
+    expected = s_hat * np.exp(1j * phase_draw)
+    assert np.array_equal(C.frames.view(np.float64), expected.view(np.float64))
+
 
 def test_fgla_zero_momentum_reduces_to_gla():
     y = Waveform(harmonic_signal(140.0, n=9000, seed=11))
