@@ -42,7 +42,8 @@ def write_wav(path, y: Waveform, spec: WavSpec) -> None:
     """Write a canonical 44-byte-header RIFF/WAVE file.
 
     PCM16 clamps to [-1, 1 - 2^-15] and rounds half away from zero;
-    float32 stores the samples verbatim.
+    float32 stores the samples verbatim.  Raises ValueError, before the
+    file is opened, when a sample overflows float32.
     """
     x = y.samples
     if spec.bit_depth == "pcm16":
@@ -51,7 +52,11 @@ def write_wav(path, y: Waveform, spec: WavSpec) -> None:
         payload = ints.astype("<i2").tobytes()
         audio_format, bits = 1, 16
     else:
-        payload = x.astype("<f4").tobytes()
+        with np.errstate(over="ignore"):    # an overflow is reported below, with the path
+            samples = x.astype("<f4")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError(f"{path}: samples overflow float32")
+        payload = samples.tobytes()
         audio_format, bits = 3, 32
     block_align = bits // 8
     header = struct.pack(

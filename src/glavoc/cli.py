@@ -148,7 +148,7 @@ def _read_wav_checked(path, cfg) -> "Waveform":
 
 def _load_mel(path, cfg) -> MelSpectrogram:
     frames, rate = read_mels(path)
-    if int(rate) != cfg.sample_rate:
+    if rate != cfg.sample_rate:
         raise ValueError(
             f"{path}: sample rate {rate} != configured {cfg.sample_rate}"
         )

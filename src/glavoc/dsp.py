@@ -21,16 +21,17 @@ accept those.  :meth:`~StftParams.check_length` admits only the lengths
 that analyze back to exactly n frames, which a projection round needs.
 
 Both transforms run on a :class:`_StftPlan`, built once per call for one
-(parameters, signal length) pair: the reflect-pad gather index, the
-window restricted to its support, the squared-window normalizer over the
-output region, and one reusable frame buffer.  Framing, windowing and the
-FFTs run on a slice of frame rows; only the reflect-pad gather and the
-overlap-add span all frames.  :func:`stft` and :func:`istft` run one
-block of all rows on the calling thread.  A projection burst in
-:mod:`glavoc.phase` builds one plan and runs every round on it, its
-worker threads sharing that plan and each owning a disjoint block of
-rows.  Plans are never cached or kept past their call, so separate
-callers share no state.
+(parameters, signal length) pair: the padded signal buffer and its
+reflect-pad edge map, the window restricted to its support and the
+squared-window normalizer over the output region.  A transform is a row
+pass (framing, windowing and the FFTs on a slice of frame rows) and an
+overlap-add pass (normalized sums over a range of output samples, written
+with their reflect-pad mirrors into the padded buffer).  :func:`stft` and
+:func:`istft` run each pass as one block on the calling thread.  A
+projection burst in :mod:`glavoc.phase` builds one plan and runs every
+round on it, its worker threads sharing that plan and each owning a
+disjoint block of rows and range of samples.  Plans are never cached or
+kept past their call, so separate callers share no state.
 """
 
 import math
@@ -216,49 +217,70 @@ class ComplexSpectrogram:
         return np.abs(self.frames)
 
 
-def _reflect_index(n: int, pad: int) -> np.ndarray:
-    """Sample indices of an ``n``-sample signal reflect-padded by ``pad``."""
+def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
+    """Sample indices of positions ``idx`` of an ``n``-sample signal reflected at both ends."""
     if n == 1:
-        return np.zeros(1 + 2 * pad, dtype=np.intp)
-    idx = np.arange(-pad, n + pad)
+        return np.zeros_like(idx)
     period = 2 * n - 2
-    for edge in (idx[:pad], idx[pad + n:]):    # the middle maps to itself
-        folded = np.abs(edge) % period
-        edge[:] = np.where(folded >= n, period - folded, folded)
-    return idx
+    folded = np.abs(idx) % period
+    return np.where(folded >= n, period - folded, folded)
 
 
 class _StftPlan:
-    """Geometry and scratch for transforms of one (params, signal length).
+    """Geometry and buffers for transforms of one (params, signal length).
 
     ``length`` is the signal length analyzed from, or synthesized to, and
-    ``n_frames`` the spectrogram frame count.  Each half is built on its
-    first use: :meth:`pad` builds the reflect-pad gather index,
-    :meth:`signal` the squared-window normalizer.  The frame buffer is
-    shared by both and holds zeros outside the window support between
-    calls.
+    ``n_frames`` the spectrogram frame count.  ``padded`` holds the signal
+    from sample ``pad_amount`` on, reflect-padded at both ends and zero
+    past that; analysis reads its frames and synthesis writes it.
 
-    Framing, windowing and both FFTs work row by row on a ``rows`` slice
-    of frames, so a burst can hand disjoint row blocks to several threads;
-    only :meth:`pad` and :meth:`signal` span all frames.  :meth:`analyze`
-    and :meth:`synthesize` are the one-block transforms.
+    A transform is two passes.  The row pass works on a slice of frame
+    rows through an n_fft-wide buffer: :meth:`analyze_rows` windows frames
+    of ``padded`` and takes their rfft, :meth:`synthesize_rows` takes the
+    irfft and writes the windowed support into ``F``.  The overlap-add
+    pass, :meth:`overlap_add`, sums ``F`` over a range of hop-sized output
+    cells, the range ``cells`` covers, and writes the normalized samples
+    and the reflect-pad edges they are mirrored to into ``padded``.
+    Disjoint row slices, and disjoint cell ranges, may run on different
+    threads.  :meth:`analyze` and :meth:`synthesize` are the one-block
+    transforms.
     """
 
     def __init__(self, p: StftParams, length: int, n_frames: int):
         self.p, self.length, self.n_frames = p, length, n_frames
         left = (p.n_fft - p.win_length) // 2 if p.center_padding else 0
         self.support = slice(left, left + p.win_length)
-        self.frames = np.empty((n_frames, p.n_fft))
-        self.frames[:, :left] = 0.0
-        self.frames[:, self.support.stop:] = 0.0
-        self.gather = self.padded = self.windows = self.norm = None
+        pad = p.pad_amount
+        self.padded = np.empty((n_frames - 1) * p.hop + p.n_fft)
+        self.padded[length + 2 * pad:] = 0.0
+        self.windows = np.lib.stride_tricks.sliding_window_view(
+            self.padded[left:], p.win_length)[::p.hop][:n_frames]
+        # each edge position, ordered by the sample it mirrors
+        edges = np.r_[-pad:0, length:length + pad]
+        src = _reflect(edges, length)
+        order = np.argsort(src, kind="stable")
+        self.edge_src, self.edge_dst = src[order], edges[order] + pad
+        # cell c holds padded samples left + c*hop onward; these cover the output region
+        self.cells = slice((pad - left) // p.hop, -(-(pad + length - left) // p.hop))
+        self.n_pieces = -(-p.win_length // p.hop)
+        self.F = self.norm = None
+
+    def frame_buffer(self, rows: int) -> np.ndarray:
+        """An n_fft-wide buffer of ``rows`` frames, zero outside the window support."""
+        buf = np.empty((rows, self.p.n_fft))
+        buf[:, :self.support.start] = 0.0
+        buf[:, self.support.stop:] = 0.0
+        return buf
 
     def _build_norm(self) -> np.ndarray:
         """Squared-window overlap-add sum over the output region."""
-        wsq = self.p.window * self.p.window
-        norm = self._overlap_add(np.broadcast_to(wsq, (self.n_frames, wsq.shape[0])))
+        p = self.p
+        wsq = p.window * p.window
+        acc = np.empty((self.cells.stop - self.cells.start, p.hop))
+        self._cell_sums(np.broadcast_to(wsq, (self.n_frames, wsq.shape[0])), self.cells, acc)
+        first = p.pad_amount - self.support.start - self.cells.start * p.hop
+        norm = acc.reshape(-1)[first:first + self.length]
         if norm.min() < NORMALIZATION_FLOOR:
-            p = self.p
             raise ValueError(
                 "degenerate synthesis normalization: squared-window sum below "
                 f"{NORMALIZATION_FLOOR} inside the output region (n_fft {p.n_fft}, "
@@ -267,68 +289,82 @@ class _StftPlan:
             )
         return norm
 
-    def _overlap_add(self, frames: np.ndarray) -> np.ndarray:
-        """Sum support-wide frames at their hop offsets; return the output region.
+    def _cell_sums(self, frames: np.ndarray, cells: slice, acc: np.ndarray) -> None:
+        """Sum support-wide frames into the rows of ``acc``, one per hop-sized cell.
 
-        Frame k's support starts at sample k*hop + support.start, so the
-        sum is ceil(win/hop) shifted adds of (frames, hop) blocks, the last
-        one possibly narrower.  Blocks go from the last to the first, which
-        adds each sample's terms in increasing frame order.
+        Frame k's j-th hop-wide piece lands in cell k + j; the last piece
+        may be narrower.  Pieces go from the last to the first, which adds
+        each sample's terms in increasing frame order, starting from 0.0.
         """
-        p, hop, n = self.p, self.p.hop, self.n_frames
-        n_blocks = -(-p.win_length // hop)
-        start = self.support.start
-        acc = np.zeros(max((n - 1) * hop + p.n_fft, start + (n + n_blocks - 1) * hop))
-        grid = acc[start:start + (n + n_blocks - 1) * hop].reshape(-1, hop)
-        for j in range(n_blocks - 1, -1, -1):
-            block = frames[:, j * hop:(j + 1) * hop]
-            grid[j:j + n, :block.shape[1]] += block
-        return acc[p.pad_amount:p.pad_amount + self.length]
+        hop, c0, c1 = self.p.hop, cells.start, cells.stop
+        acc[:c1 - c0] = 0.0
+        for j in range(self.n_pieces - 1, -1, -1):
+            k0, k1 = max(c0 - j, 0), min(c1 - j, self.n_frames)
+            if k0 < k1:
+                piece = frames[k0:k1, j * hop:(j + 1) * hop]
+                acc[k0 + j - c0:k1 + j - c0, :piece.shape[1]] += piece
+
+    def prepare_synthesis(self) -> None:
+        """Build the normalizer and the support-only frames ``F`` synthesis writes."""
+        self.norm = self._build_norm()
+        self.F = np.empty((self.n_frames, self.p.win_length))
 
     def pad(self, x: np.ndarray) -> None:
-        """Reflect-pad ``x`` into the buffer that analysis frames are read from."""
-        p = self.p
-        if self.gather is None:
-            self.gather = _reflect_index(self.length, p.pad_amount)
-            self.padded = np.empty((self.n_frames - 1) * p.hop + p.n_fft)
-            self.padded[self.gather.shape[0]:] = 0.0
-            self.windows = np.lib.stride_tricks.sliding_window_view(
-                self.padded[self.support.start:], p.win_length)[::p.hop][:self.n_frames]
-        np.take(x, self.gather, out=self.padded[:self.gather.shape[0]])
+        """Reflect-pad ``x`` into ``padded``."""
+        pad = self.p.pad_amount
+        self.padded[pad:pad + self.length] = x
+        self.padded[self.edge_dst] = x[self.edge_src]
 
-    def analyze_rows(self, rows: slice, out: np.ndarray = None) -> np.ndarray:
-        """One-sided spectrum of the windowed frames ``rows`` of the padded signal.
+    def analyze_rows(self, rows: slice, buf: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """One-sided spectrum of the windowed frames ``rows`` of ``padded``.
 
+        ``buf`` is a :meth:`frame_buffer` of at least that many rows.
         Written into ``out[rows]`` when ``out`` is given.
         """
         p = self.p
-        np.multiply(self.windows[rows], p.window, out=self.frames[rows, self.support])
-        return np.fft.rfft(self.frames[rows], n=p.n_fft, axis=1,
+        frames = buf[:rows.stop - rows.start]
+        np.multiply(self.windows[rows], p.window, out=frames[:, self.support])
+        return np.fft.rfft(frames, n=p.n_fft, axis=1,
                            out=None if out is None else out[rows])
 
-    def synthesize_rows(self, X: np.ndarray, rows: slice) -> None:
-        """Windowed inverse transform of ``X[rows]`` into the frame buffer's rows."""
+    def synthesize_rows(self, X: np.ndarray, rows: slice, buf: np.ndarray) -> None:
+        """Windowed inverse transform of ``X[rows]`` into ``F[rows]``, through ``buf``."""
         p = self.p
-        frames = np.fft.irfft(X[rows], n=p.n_fft, axis=1, out=self.frames[rows])
-        frames[:, self.support] *= p.window
-        frames[:, :self.support.start] = 0.0
-        frames[:, self.support.stop:] = 0.0
+        frames = np.fft.irfft(X[rows], n=p.n_fft, axis=1, out=buf[:rows.stop - rows.start])
+        np.multiply(frames[:, self.support], p.window, out=self.F[rows])
 
-    def signal(self) -> np.ndarray:
-        """Squared-window-normalized overlap-add of the synthesized frames."""
-        if self.norm is None:
-            self.norm = self._build_norm()
-        return self._overlap_add(self.frames[:, self.support]) / self.norm
+    def overlap_add(self, cells: slice, acc: np.ndarray) -> None:
+        """Normalized overlap-add of ``F`` over ``cells`` into ``padded``.
+
+        ``acc`` holds at least one hop-wide row per cell.  Every edge
+        position mirroring one of the samples written is written too.
+        """
+        p, pad = self.p, self.p.pad_amount
+        self._cell_sums(self.F, cells, acc)
+        base = self.support.start + cells.start * p.hop
+        lo = max(base, pad)
+        hi = min(base + (cells.stop - cells.start) * p.hop, pad + self.length)
+        np.divide(acc.reshape(-1)[lo - base:hi - base], self.norm[lo - pad:hi - pad],
+                  out=self.padded[lo:hi])
+        a, b = np.searchsorted(self.edge_src, (lo - pad, hi - pad))
+        self.padded[self.edge_dst[a:b]] = self.padded[pad + self.edge_src[a:b]]
+
+    @property
+    def output(self) -> np.ndarray:
+        """The synthesized signal: the output region of ``padded``."""
+        return self.padded[self.p.pad_amount:self.p.pad_amount + self.length]
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
         """One-sided spectrum of the windowed frames of ``x``."""
         self.pad(x)
-        return self.analyze_rows(slice(None))
+        return self.analyze_rows(slice(0, self.n_frames), self.frame_buffer(self.n_frames))
 
     def synthesize(self, X: np.ndarray) -> np.ndarray:
         """Squared-window-normalized overlap-add of the inverse transform of ``X``."""
-        self.synthesize_rows(X, slice(None))
-        return self.signal()
+        self.prepare_synthesis()
+        self.synthesize_rows(X, slice(0, self.n_frames), np.empty((self.n_frames, self.p.n_fft)))
+        self.overlap_add(self.cells, np.empty((self.cells.stop - self.cells.start, self.p.hop)))
+        return self.output
 
 
 def stft(y: Waveform, p: StftParams) -> ComplexSpectrogram:

@@ -9,22 +9,26 @@ and inside the corrected sampler's early steps.
 Every burst of rounds, from :func:`gla`, :func:`fgla` and the sampler's
 correction :func:`gla_correct`, runs in one private core,
 :func:`_project_rounds`, on plain complex arrays and one
-:class:`~glavoc.dsp._StftPlan`; :func:`fgla` and :func:`gla_correct`
-synthesize on that same plan.  Inputs are validated at the public entry
-points and the burst's output is checked once for overflow; nothing is
-revalidated per round.
+:class:`~glavoc.dsp._StftPlan`, from the starting iterate (or the first
+analysis) to the last iterate (or the synthesized signal).  Inputs are
+validated at the public entry points and the burst's last iterate is
+checked once for overflow; nothing is revalidated per round.
 
 A burst splits the frame rows into contiguous blocks, one per core the
 process may run on as long as each block holds MIN_BLOCK_SAMPLES frame
-samples, and runs each round's row-wise stages on them in a thread pool
-made for that burst alone; a short input runs as one block on the
-calling thread.  The workers share the burst's plan and write disjoint
-rows of it, and the output is byte-identical whatever the split.
+samples, and the output samples into as many ranges; a short input runs
+as one block on the calling thread.  Each block has a thread made for
+that burst alone, and every step of the burst is two passes over the
+plan with a barrier after each: the row pass takes the block's rows
+CHUNK_ROWS at a time through analysis, momentum, magnitude projection
+and synthesis, and the overlap-add pass writes the thread's range of
+the padded signal that the next row pass analyzes.  Nothing runs
+serially between rounds.  The threads write disjoint rows and samples,
+and the output is byte-identical whatever the split.
 """
 
-import contextlib
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +43,18 @@ from .dsp import (
 )
 
 # Frame samples (rows x n_fft) a row block needs before a second thread
-# pays for its dispatch.  Measured on 2 cores, two blocks of one burst
-# round break even at about 16-32k samples each for n_fft 512, 1024 and
-# 2048 alike; at 64k (32 rows of 2048) they take 0.73-0.80 of one block.
-MIN_BLOCK_SAMPLES = 1 << 16
+# pays for its two barriers per round.  Measured on 2 cores, per round of
+# a gla_correct burst, two blocks break even with one at about 16k samples
+# each for n_fft 512, 1024 and 2048 alike; at 32k (16 rows of 2048) they
+# take 0.76-0.87 of one block, at 64k 0.62-0.73.
+MIN_BLOCK_SAMPLES = 1 << 15
+
+# Rows the row pass takes through analysis, momentum, magnitude projection
+# and synthesis in one go, so each stage finds the chunk still in cache.
+# On a 60 s clip (4414 frames of 2048; 2 cores, 1 MB L2 each, 32 MB L3),
+# chunks of 16/32/64/128/256 rows gave 25.7/24.3/22.8/24.2/26.3 ms per
+# momentum round.
+CHUNK_ROWS = 64
 
 
 @dataclass
@@ -95,68 +107,131 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _row_blocks(n_frames: int, n_fft: int) -> list:
-    """Contiguous row slices, at most one per core, each of MIN_BLOCK_SAMPLES or more."""
-    k = max(1, min(_cores(), n_frames * n_fft // MIN_BLOCK_SAMPLES))
-    cuts = [n_frames * i // k for i in range(k + 1)]
+def _split(span: slice, k: int) -> list:
+    """``span`` cut into ``k`` contiguous slices of near-equal size."""
+    cuts = [span.start + (span.stop - span.start) * i // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _project_rounds(X: np.ndarray, s_hat: np.ndarray, plan: _StftPlan,
-                    iterations: int, momentum: float) -> np.ndarray:
-    """Run ``iterations`` projection rounds from X; return the last iterate.
+def _chunks(span: slice, size: int) -> list:
+    """``span`` cut into consecutive slices of ``size``, the last one possibly shorter."""
+    return [slice(a, min(a + size, span.stop)) for a in range(span.start, span.stop, size)]
+
+
+def _row_blocks(n_frames: int, n_fft: int) -> list:
+    """Contiguous row slices, at most one per core, each of MIN_BLOCK_SAMPLES or more."""
+    return _split(slice(0, n_frames), max(1, min(_cores(), n_frames * n_fft // MIN_BLOCK_SAMPLES)))
+
+
+def _put_phase(X: np.ndarray, phase: np.ndarray, s: np.ndarray) -> None:
+    """X = s * exp(1j * phase), built in X."""
+    np.multiply(1j, phase, out=X)
+    np.exp(X, out=X)
+    X *= s
+
+
+def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentum: float,
+                    X: np.ndarray = None, phase: np.ndarray = None,
+                    synthesize: bool = False, project: bool = False) -> np.ndarray:
+    """Run ``iterations`` projection rounds; return the last iterate or its signal.
 
     A round is t_k = P_C(P_mag(C_{k-1})).  With momentum m > 0 the next
     iterate is C_k = t_k + m (t_k - t_{k-1}) from the second round on
     (Perraudin, Balazs and Soendergaard, 2013); with m = 0 it is t_k.
-    X must be a validated complex array the caller gives up: it is
-    overwritten.  Raises ValueError if the burst overflowed.
+    C_0 is ``X``, a validated complex array the caller gives up; or
+    s_hat under ``phase``; or, with neither, the analysis of the plan's
+    padded signal.  ``synthesize`` returns the signal of the last iterate,
+    after one more magnitude projection if ``project``; otherwise the
+    iterate itself comes back.  Raises ValueError if the burst overflowed.
 
-    Everything but overlap-add and the reflect-pad gather works row by
-    row, so dispatch k runs, on each row block of :func:`_row_blocks`,
-    the end of round k and the start of round k + 1; the calling thread
-    takes the first block and then runs those two serial stages.
-    Workers write disjoint rows of X, prev, scratch and the plan's frames.
+    Each step runs two passes on the threads of :func:`_row_blocks`, one
+    row block and one range of output cells each.  The row pass takes
+    CHUNK_ROWS rows at a time through the end of round k (analysis and
+    momentum) and the start of round k + 1 (magnitude projection and
+    synthesis); the overlap-add pass refills the plan's padded signal.
+    A barrier follows each pass.
     """
-    scratch = np.empty(X.shape)
+    p = plan.p
+    analyze_first = X is None and phase is None
+    if X is None:
+        X = np.empty(s_hat.shape, dtype=np.complex128)
     prev = np.empty_like(X) if momentum and iterations else None
+    draw = [phase]      # freed after the first row pass
+    del phase
+    blocks = _row_blocks(X.shape[0], p.n_fft)
+    cell_blocks = _split(plan.cells, len(blocks))
+    cell_chunk = CHUNK_ROWS * plan.n_pieces    # cells holding about CHUNK_ROWS frames' support
+    plan.prepare_synthesis()
+    barrier = threading.Barrier(len(blocks))
+    finite = [True] * len(blocks)
+    errors = [None] * len(blocks)
 
-    def block(rows: slice, k: int, X: np.ndarray, prev: np.ndarray) -> None:
+    def run(i: int) -> np.ndarray:
+        rows, cells = blocks[i], cell_blocks[i]
+        m = min(CHUNK_ROWS, rows.stop - rows.start)
+        frames, spectra = plan.frame_buffer(m), np.empty((m, p.n_fft))
+        ratio = np.empty((m, X.shape[1]))
+        acc = np.empty((min(cell_chunk, cells.stop - cells.start), p.hop))
+        C_k, t_prev = X, prev
+        for k in range(iterations + 1):
+            last = k == iterations
+            for r in _chunks(rows, CHUNK_ROWS):
+                C = C_k
+                if k or analyze_first:    # finish round k: t_k into C_k's rows
+                    t = plan.analyze_rows(r, frames, out=C_k)
+                    if momentum and k:    # C_k in place of t_{k-1}
+                        q = t_prev[r]
+                        if k == 1:
+                            q[...] = t
+                        else:
+                            np.subtract(t, q, out=q)
+                            q *= momentum
+                            q += t
+                            C = t_prev
+                elif draw[0] is not None:
+                    _put_phase(C[r], draw[0][r], s_hat[r])
+                if last:
+                    finite[i] &= bool(np.isfinite(C[r]).all())
+                if not last or project:    # start round k + 1 from C_k
+                    _set_magnitude(C[r], s_hat[r], ratio[:r.stop - r.start])
+                if not last or synthesize:
+                    plan.synthesize_rows(C, r, spectra)
+            if momentum and k > 1:
+                C_k, t_prev = t_prev, C_k
+            if not last or synthesize:
+                barrier.wait()
+                if k == 0 and i == 0:
+                    draw.clear()
+                for c in _chunks(cells, cell_chunk):
+                    plan.overlap_add(c, acc)
+                if not last:
+                    barrier.wait()
+        return C_k
+
+    def guarded(i: int) -> np.ndarray:
         # numpy's error state is per thread; overflow is left to the
         # finiteness check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            C = X
-            if k:    # finish round k: t_k into X; C_k in place of t_{k-1} in prev
-                t = plan.analyze_rows(rows, out=X)
-                if momentum:
-                    p = prev[rows]
-                    if k == 1:
-                        p[...] = t
-                    else:
-                        np.subtract(t, p, out=p)
-                        p *= momentum
-                        p += t
-                        C = prev
-            if k < iterations:    # start round k + 1 from C_k
-                _set_magnitude(C[rows], s_hat[rows], scratch[rows])
-                plan.synthesize_rows(C, rows)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return run(i)
+        except BaseException as e:    # free the other threads before reporting
+            errors[i] = e
+            barrier.abort()
 
-    blocks = _row_blocks(X.shape[0], plan.p.n_fft)
-    with (ThreadPoolExecutor(len(blocks) - 1) if iterations and len(blocks) > 1
-          else contextlib.nullcontext()) as pool, np.errstate(over="ignore", invalid="ignore"):
-        # dispatch 0 only starts round 1 and the last only finishes it
-        for k in range(iterations + 1 if iterations else 0):
-            if k:
-                plan.pad(plan.signal())
-            futures = [pool.submit(block, rows, k, X, prev) for rows in blocks[1:]]
-            block(blocks[0], k, X, prev)
-            for future in futures:
-                future.result()
-            if momentum and k > 1:
-                X, prev = prev, X
-    if not np.all(np.isfinite(X)):
+    threads = [threading.Thread(target=guarded, args=(i,)) for i in range(1, len(blocks))]
+    for thread in threads:
+        thread.start()
+    result = guarded(0)    # X itself stays bound: a late-starting worker still reads it
+    for thread in threads:
+        thread.join()
+    # the thread that failed first aborted the barrier; the others saw it break
+    failed = [e for e in errors
+              if e is not None and not isinstance(e, threading.BrokenBarrierError)]
+    if failed:
+        raise failed[0]
+    if not all(finite):
         raise ValueError("projection burst overflowed: the iterate is not finite")
-    return X
+    return plan.output if synthesize else result
 
 
 def project_consistent(C: ComplexSpectrogram) -> ComplexSpectrogram:
@@ -184,7 +259,7 @@ def gla(C0: ComplexSpectrogram, s_hat: np.ndarray, iterations: int) -> ComplexSp
     s = _check_magnitude(s_hat, C0.n_frames, C0.params.n_bins)
     C0.params.check_length(C0.n_frames, C0.origin_length)
     plan = _StftPlan(C0.params, C0.origin_length, C0.n_frames)
-    X = _project_rounds(C0.frames.copy(), s, plan, iterations, 0.0)
+    X = _project_rounds(plan, s, iterations, 0.0, X=C0.frames.copy())
     return ComplexSpectrogram(X, C0.params, C0.origin_length)
 
 
@@ -206,16 +281,13 @@ def gla_correct(
         raise ValueError("iterations must be >= 0")
     plan = _StftPlan(params, len(y), params.frames_for_length(len(y)))
     s = _check_magnitude(s_hat, plan.n_frames, params.n_bins)
-    X = _project_rounds(plan.analyze(y.samples), s, plan, iterations, momentum)
-    return Waveform(plan.synthesize(X))
+    plan.pad(y.samples)
+    return Waveform(_project_rounds(plan, s, iterations, momentum, synthesize=True))
 
 
-def _initial_frames(s: np.ndarray, seed: int) -> np.ndarray:
-    """The magnitudes ``s`` under seeded uniform random phase, built in one buffer."""
-    X = 1j * np.random.default_rng(seed).uniform(-np.pi, np.pi, size=s.shape)
-    np.exp(X, out=X)
-    X *= s
-    return X
+def _initial_phase(shape: tuple, seed: int) -> np.ndarray:
+    """The seeded uniform phase draw of the starting iterate."""
+    return np.random.default_rng(seed).uniform(-np.pi, np.pi, size=shape)
 
 
 def initial_spectrogram(
@@ -226,8 +298,9 @@ def initial_spectrogram(
     Its origin length is the longest signal the frame count describes.
     """
     s = np.asarray(s_hat, dtype=np.float64)
-    return ComplexSpectrogram(_initial_frames(s, cfg.seed), params,
-                              params.max_length_for_frames(s.shape[0]))
+    X = np.empty(s.shape, dtype=np.complex128)
+    _put_phase(X, _initial_phase(s.shape, cfg.seed), s)
+    return ComplexSpectrogram(X, params, params.max_length_for_frames(s.shape[0]))
 
 
 def fgla(
@@ -254,5 +327,6 @@ def fgla(
     s = _check_magnitude(s, s.shape[0], params.n_bins)
     target_length = params.synthesis_length(s.shape[0], target_length)
     plan = _StftPlan(params, params.max_length_for_frames(s.shape[0]), s.shape[0])
-    X = _project_rounds(_initial_frames(s, cfg.seed), s, plan, cfg.iterations, cfg.momentum)
-    return Waveform(plan.synthesize(_set_magnitude(X, s))[:target_length])
+    out = _project_rounds(plan, s, cfg.iterations, cfg.momentum,
+                          phase=_initial_phase(s.shape, cfg.seed), synthesize=True, project=True)
+    return Waveform(out[:target_length])

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,20 @@ def test_float32_round_trip_is_bit_exact(tmp_path):
     assert spec.sample_rate == 22050
     assert np.array_equal(back.samples, y.samples)
     assert path.stat().st_size == 44 + 5000 * 4
+
+
+def test_float32_overflow_is_refused_before_writing(tmp_path):
+    path = tmp_path / "f.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{path}: samples overflow float32"):
+            write_wav(path, Waveform([1e39, 0.0]), WavSpec(22050, "float32"))
+    assert not path.exists()
+    # the largest float32 is written and read back; pcm16 clamps instead
+    write_wav(path, Waveform([-3.4028234663852886e38, 0.0]), WavSpec(22050, "float32"))
+    assert read_wav(path)[0].samples[0] == -3.4028234663852886e38
+    write_wav(path, Waveform([1e39, 0.0]), WavSpec(22050, "pcm16"))
+    assert read_wav(path)[0].samples[0] == 32767.0 / 32768.0
 
 
 def pcm16_reference(x: float) -> float:

@@ -147,6 +147,18 @@ def test_data_errors_exit_2(tmp_path, capsys):
                  "--iters", "2"]) == 2
     capsys.readouterr()
 
+    # a header rate that is not the configured one, if only by half a hertz
+    half_hz = tmp_path / "half.mels"
+    write_mels(half_hz, MelSpectrogram(np.ones((10, 128)), mel_filterbank(22050, 2048, 128,
+                                                                        20.0, 11025.0)))
+    raw = bytearray(half_hz.read_bytes())
+    raw[16:20] = struct.pack("<f", 22050.5)
+    half_hz.write_bytes(bytes(raw))
+    assert main(["vocode-gla", str(half_hz), "-o", str(tmp_path / "o.wav"),
+                 "--iters", "2"]) == 2
+    assert f"{half_hz}: sample rate 22050.5 != configured 22050" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+
 
 # ------------------------------------------------------------------- commands
 

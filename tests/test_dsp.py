@@ -10,7 +10,7 @@ from glavoc.dsp import (
     ComplexSpectrogram,
     StftParams,
     Waveform,
-    _reflect_index,
+    _reflect,
     hann_window,
     istft,
     stft,
@@ -140,20 +140,20 @@ def test_length_rules_agree_on_any_geometry(data):
 
 def test_reflect_pad_matches_numpy_when_short():
     x = np.arange(10.0)
-    assert np.array_equal(x[_reflect_index(len(x), 4)], np.pad(x, 4, mode="reflect"))
+    assert np.array_equal(x[_reflect(np.arange(-4, len(x) + 4), len(x))], np.pad(x, 4, mode="reflect"))
 
 
 def test_reflect_pad_beyond_signal_length():
     # np.pad(mode="reflect") refuses pad >= len; ours keeps reflecting
     x = np.array([1.0, 2.0, 3.0])
-    got = x[_reflect_index(len(x), 5)]
+    got = x[_reflect(np.arange(-5, len(x) + 5), len(x))]
     # period-4 reflection of [1 2 3]: ... 2 1 2 3 2 1 2 3 ...
     assert np.array_equal(got, [2, 1, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3, 2])
 
 
 def test_reflect_pad_single_sample():
     x = np.array([7.0])
-    assert np.array_equal(x[_reflect_index(len(x), 3)], np.full(7, 7.0))
+    assert np.array_equal(x[_reflect(np.arange(-3, len(x) + 3), len(x))], np.full(7, 7.0))
 
 
 # ---------------------------------------------------------------- stft oracle
@@ -172,7 +172,7 @@ def test_stft_matches_brute_force_dft():
     spec = stft(Waveform(y), p).frames
 
     pad = 8
-    x = y[_reflect_index(len(y), pad)]
+    x = y[_reflect(np.arange(-pad, len(y) + pad), len(y))]
     w = p.padded_window()
     T = p.frames_for_length(40)
     needed = (T - 1) * 4 + 16

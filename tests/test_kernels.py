@@ -14,7 +14,7 @@ from glavoc.dsp import (
     StftParams,
     Waveform,
     _StftPlan,
-    _reflect_index,
+    _reflect,
     istft,
     stft,
 )
@@ -53,7 +53,7 @@ def _window_sumsq_loop(window, hop, n_frames, out_len):
 def reference_frames(x, p):
     """Windowed n_fft-sample frames of the reflect-padded, zero-tailed signal."""
     n_frames = p.frames_for_length(x.shape[0])
-    x_pad = x[_reflect_index(x.shape[0], p.pad_amount)]
+    x_pad = x[_reflect(np.arange(-p.pad_amount, x.shape[0] + p.pad_amount), x.shape[0])]
     needed = (n_frames - 1) * p.hop + p.n_fft
     x_pad = np.concatenate([x_pad, np.zeros(needed - x_pad.shape[0])])
     return _frame_loop(x_pad, p.padded_window(), p.hop, n_frames)
@@ -106,7 +106,7 @@ def test_frame_signal_matches_brute_force():
     rng = np.random.default_rng(1)
     p = StftParams()
     x = rng.standard_normal(5000)
-    x_pad = x[_reflect_index(x.shape[0], p.pad_amount)]
+    x_pad = x[_reflect(np.arange(-p.pad_amount, x.shape[0] + p.pad_amount), x.shape[0])]
     spec = stft(Waveform(x), p).frames
     for t in (0, 7, 16):           # frames that lie inside the padded signal
         chunk = x_pad[t * p.hop:t * p.hop + p.n_fft] * p.padded_window()

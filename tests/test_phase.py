@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from signals import harmonic_signal
 
@@ -305,20 +306,22 @@ SPLIT_GEOMETRIES = {
     "hop_not_dividing_window": StftParams(n_fft=512, hop=96, win_length=400),
     "uncentered_rectangular": StftParams(n_fft=512, hop=100, win_length=300,
                                          window=np.ones(300), center_padding=False),
+    # the rows reading a reflect-pad edge span several blocks at 7 cores
+    "small_hop": StftParams(n_fft=512, hop=1, win_length=512),
 }
 
 
-def burst_outputs(p, n_frames):
+def burst_outputs(p, n_frames, length=None, iterations=3):
     rng = np.random.default_rng(p.n_fft + p.hop)
-    y = Waveform(rng.standard_normal(p.max_length_for_frames(n_frames)))
+    y = Waveform(rng.standard_normal(length or p.max_length_for_frames(n_frames)))
     C = stft(y, p)
     s_hat = 1.3 * np.abs(C.frames)
     return [
-        gla(C, s_hat, 3).frames,
-        fgla(s_hat, p, GlaConfig(iterations=3, momentum=0.0)).samples,
-        fgla(s_hat, p, GlaConfig(iterations=3, momentum=0.99)).samples,
-        gla_correct(y, s_hat, 3, p).samples,
-        gla_correct(y, s_hat, 3, p, 0.99).samples,
+        gla(C, s_hat, iterations).frames,
+        fgla(s_hat, p, GlaConfig(iterations=iterations, momentum=0.0)).samples,
+        fgla(s_hat, p, GlaConfig(iterations=iterations, momentum=0.99)).samples,
+        gla_correct(y, s_hat, iterations, p).samples,
+        gla_correct(y, s_hat, iterations, p, 0.99).samples,
     ]
 
 
@@ -329,11 +332,67 @@ def test_bursts_are_identical_however_the_rows_split(name, monkeypatch):
     outputs = {}
     for cores in (1, 2, 3, 7):
         monkeypatch.setattr(phase, "_cores", lambda: cores)
-        assert len(phase._row_blocks(n_frames, p.n_fft)) == cores
+        blocks = phase._row_blocks(n_frames, p.n_fft)
+        assert len(blocks) == cores
         outputs[cores] = burst_outputs(p, n_frames)
+    if name == "small_hop":
+        # frames 0..255 start in the left reflect edge: 4 of the 7 blocks
+        assert sum(b.start < p.pad_amount // p.hop for b in blocks) == 4
     for cores in (2, 3, 7):
         for serial, split in zip(outputs[1], outputs[cores]):
             assert np.array_equal(serial, split)
+
+
+# host timings drift, so no deadline; derandomized so every run checks the
+# same geometries
+@settings(deadline=None, derandomize=True, database=None, max_examples=150)
+@given(st.data())
+def test_bursts_are_identical_under_any_row_split(data):
+    n_fft = data.draw(st.integers(2, 256), "n_fft")
+    win = data.draw(st.integers(2, n_fft), "win_length")
+    hop = data.draw(st.integers(1, win), "hop")
+    rectangular = data.draw(st.booleans(), "rectangular")
+    p = StftParams(n_fft, hop, win, window=np.ones(win) if rectangular else None,
+                   center_padding=data.draw(st.booleans(), "center"))
+    try:
+        p.check_synthesis()
+    except ValueError:
+        assume(False)    # no signal synthesizes under this geometry
+    length = data.draw(st.integers(1, 40 * hop + 2 * n_fft), "length")
+    n_frames = p.frames_for_length(length)
+    iterations = data.draw(st.integers(0, 3), "iterations")
+    cores = data.draw(st.sampled_from((1, 2, 3, 7)), "cores")
+    chunk_rows = data.draw(st.sampled_from((1, 3, 64)), "chunk_rows")
+    with pytest.MonkeyPatch.context() as mp:
+        # every input splits into one block per core, down to empty blocks
+        mp.setattr(phase, "MIN_BLOCK_SAMPLES", 1)
+        mp.setattr(phase, "_cores", lambda: 1)
+        mp.setattr(phase, "CHUNK_ROWS", n_frames)
+        serial = burst_outputs(p, n_frames, length, iterations)
+        mp.setattr(phase, "_cores", lambda: cores)
+        mp.setattr(phase, "CHUNK_ROWS", chunk_rows)
+        split = burst_outputs(p, n_frames, length, iterations)
+    for want, got in zip(serial, split):
+        assert np.array_equal(want, got)
+
+
+def test_a_failing_block_thread_is_reported(monkeypatch):
+    # a worker's own error comes back to the caller, and no thread is left waiting
+    n_frames = 3 * phase.MIN_BLOCK_SAMPLES // P.n_fft
+    s_hat = np.ones((n_frames, P.n_bins))
+    set_magnitude = phase._set_magnitude
+
+    def fails_off_the_calling_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("injected")
+        return set_magnitude(*args)
+
+    monkeypatch.setattr(phase, "_cores", lambda: 3)
+    monkeypatch.setattr(phase, "_set_magnitude", fails_off_the_calling_thread)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected"):
+        fgla(s_hat, P, GlaConfig(iterations=4))
+    assert threading.active_count() == before
 
 
 def test_concurrent_split_bursts_match_the_serial_one(monkeypatch):
