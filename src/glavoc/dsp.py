@@ -20,26 +20,47 @@ rejects a count that no signal analyzes to.
 accept those.  :meth:`~StftParams.check_length` admits only the lengths
 that analyze back to exactly n frames, which a projection round needs.
 
-Both transforms run on a :class:`_StftPlan`, built once per call for one
-(parameters, signal length) pair: the padded signal buffer and its
-reflect-pad edge map, the window restricted to its support and the
-squared-window normalizer over the output region.  A transform is a row
-pass (framing, windowing and the FFTs on a slice of frame rows) and an
-overlap-add pass (normalized sums over a range of output samples, written
-with their reflect-pad mirrors into the padded buffer).  :func:`stft` and
-:func:`istft` run each pass as one block on the calling thread.  A
-projection burst in :mod:`glavoc.phase` builds one plan and runs every
-round on it, its worker threads sharing that plan and each owning a
-disjoint block of rows and range of samples.  Plans are never cached or
-kept past their call, so separate callers share no state.
+Every transform runs in one engine, :func:`_project_rounds`, on a
+:class:`_StftPlan` built per call for one (parameters, signal length)
+pair: the padded signal and its reflect-pad edge map, the window support
+and the squared-window normalizer.  :func:`stft` is its first analysis
+and :func:`istft` its last synthesis, with no rounds between; the
+Griffin-Lim bursts of :mod:`glavoc.phase` run theirs.  A step is a row
+pass, CHUNK_ROWS frame rows at a time through analysis, momentum,
+magnitude projection and synthesis, then an overlap-add pass writing
+normalized samples and their reflect-pad mirrors into the padded signal.
+
+A call with rounds splits the rows into contiguous blocks, one per core
+the process may run on while each holds MIN_BLOCK_SAMPLES frame samples,
+and the output samples into as many ranges, one thread each; the threads
+meet at a barrier after each pass, so nothing runs serially between
+rounds, and the output is byte-identical whatever the split.  A call
+with no rounds runs on the calling thread.  Plans are never cached, so
+separate callers share no state.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 NORMALIZATION_FLOOR = 1e-10
+
+# Frame samples (rows x n_fft) a row block needs before a second thread
+# pays for its two barriers per round.  Measured on 2 cores, per round of
+# a gla_correct burst, two blocks break even with one at about 16k samples
+# each for n_fft 512, 1024 and 2048 alike; at 32k (16 rows of 2048) they
+# take 0.76-0.87 of one block, at 64k 0.62-0.73.
+MIN_BLOCK_SAMPLES = 1 << 15
+
+# Rows the row pass takes through analysis, momentum, magnitude projection
+# and synthesis in one go, so each stage finds the chunk still in cache.
+# On a 60 s clip (4414 frames of 2048; 2 cores, 1 MB L2 each, 32 MB L3),
+# chunks of 16/32/64/128/256 rows gave 25.7/24.3/22.8/24.2/26.3 ms per
+# momentum round.
+CHUNK_ROWS = 64
 
 
 def hann_window(win_length: int) -> np.ndarray:
@@ -242,8 +263,7 @@ class _StftPlan:
     cells, the range ``cells`` covers, and writes the normalized samples
     and the reflect-pad edges they are mirrored to into ``padded``.
     Disjoint row slices, and disjoint cell ranges, may run on different
-    threads.  :meth:`analyze` and :meth:`synthesize` are the one-block
-    transforms.
+    threads.
     """
 
     def __init__(self, p: StftParams, length: int, n_frames: int):
@@ -354,17 +374,159 @@ class _StftPlan:
         """The synthesized signal: the output region of ``padded``."""
         return self.padded[self.p.pad_amount:self.p.pad_amount + self.length]
 
-    def analyze(self, x: np.ndarray) -> np.ndarray:
-        """One-sided spectrum of the windowed frames of ``x``."""
-        self.pad(x)
-        return self.analyze_rows(slice(0, self.n_frames), self.frame_buffer(self.n_frames))
 
-    def synthesize(self, X: np.ndarray) -> np.ndarray:
-        """Squared-window-normalized overlap-add of the inverse transform of ``X``."""
-        self.prepare_synthesis()
-        self.synthesize_rows(X, slice(0, self.n_frames), np.empty((self.n_frames, self.p.n_fft)))
-        self.overlap_add(self.cells, np.empty((self.cells.stop - self.cells.start, self.p.hop)))
-        return self.output
+def _set_magnitude(X: np.ndarray, s: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
+    """X *= s/|X| in place; entries with |X| = 0 become s (phase 1)."""
+    ratio = np.abs(X, out=scratch)
+    zero = None if ratio.all() else ratio == 0.0
+    if zero is not None:
+        ratio[zero] = 1.0
+    np.divide(s, ratio, out=ratio)
+    X *= ratio
+    if zero is not None:
+        X[zero] = s[zero]
+    return X
+
+
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _split(span: slice, k: int) -> list:
+    """``span`` cut into ``k`` contiguous slices of near-equal size."""
+    cuts = [span.start + (span.stop - span.start) * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _chunks(span: slice, size: int) -> list:
+    """``span`` cut into consecutive slices of ``size``, the last one possibly shorter."""
+    return [slice(a, min(a + size, span.stop)) for a in range(span.start, span.stop, size)]
+
+
+def _row_blocks(n_frames: int, n_fft: int) -> list:
+    """Contiguous row slices, at most one per core, each of MIN_BLOCK_SAMPLES or more."""
+    return _split(slice(0, n_frames), max(1, min(_cores(), n_frames * n_fft // MIN_BLOCK_SAMPLES)))
+
+
+def _put_phase(X: np.ndarray, phase: np.ndarray, s: np.ndarray) -> None:
+    """X = s * exp(1j * phase), built in X."""
+    np.multiply(1j, phase, out=X)
+    np.exp(X, out=X)
+    X *= s
+
+
+def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentum: float,
+                    X: np.ndarray = None, phase: np.ndarray = None,
+                    synthesize: bool = False, project: bool = False) -> np.ndarray:
+    """Run ``iterations`` projection rounds; return the last iterate or its signal.
+
+    A round is t_k = P_C(P_mag(C_{k-1})).  With momentum m > 0 the next
+    iterate is C_k = t_k + m (t_k - t_{k-1}) from the second round on
+    (Perraudin, Balazs and Soendergaard, 2013); with m = 0 it is t_k.
+    C_0 is ``X``, a validated complex array the caller gives up (read
+    only when no round runs and ``project`` is off); or s_hat under
+    ``phase``; or, with neither, the analysis of the plan's padded
+    signal.  ``s_hat`` may then be None if no magnitude is projected.
+    ``synthesize`` returns the signal of the last iterate, after one more
+    magnitude projection if ``project``; otherwise the iterate itself
+    comes back.  Raises ValueError if the last iterate is not finite.
+
+    Each step runs two passes on the threads of :func:`_row_blocks`, one
+    row block and one range of output cells each; a call with no rounds
+    runs as one block on the calling thread.  The row pass takes
+    CHUNK_ROWS rows at a time through the end of round k (analysis and
+    momentum) and the start of round k + 1 (magnitude projection and
+    synthesis); the overlap-add pass refills the plan's padded signal.
+    A barrier follows each pass.
+    """
+    p = plan.p
+    analyze_first = X is None and phase is None
+    if X is None:
+        X = np.empty((plan.n_frames, p.n_bins), dtype=np.complex128)
+    prev = np.empty_like(X) if momentum and iterations else None
+    draw = [phase]      # freed after the first row pass
+    del phase
+    # a plain transform stays on its caller's thread, so each of evaluate's
+    # jobs holds one set of chunk buffers
+    blocks = _row_blocks(plan.n_frames, p.n_fft) if iterations else [slice(0, plan.n_frames)]
+    cell_blocks = _split(plan.cells, len(blocks))
+    cell_chunk = CHUNK_ROWS * plan.n_pieces    # cells holding about CHUNK_ROWS frames' support
+    if synthesize or iterations:
+        plan.prepare_synthesis()
+    barrier = threading.Barrier(len(blocks))
+    finite = [True] * len(blocks)
+    errors = [None] * len(blocks)
+
+    def run(i: int) -> np.ndarray:
+        rows, cells = blocks[i], cell_blocks[i]
+        m = min(CHUNK_ROWS, rows.stop - rows.start)
+        frames, spectra = plan.frame_buffer(m), np.empty((m, p.n_fft))
+        ratio = np.empty((m, X.shape[1]))
+        acc = np.empty((min(cell_chunk, cells.stop - cells.start), p.hop))
+        C_k, t_prev = X, prev
+        for k in range(iterations + 1):
+            last = k == iterations
+            for r in _chunks(rows, CHUNK_ROWS):
+                C = C_k
+                if k or analyze_first:    # finish round k: t_k into C_k's rows
+                    t = plan.analyze_rows(r, frames, out=C_k)
+                    if momentum and k:    # C_k in place of t_{k-1}
+                        q = t_prev[r]
+                        if k == 1:
+                            q[...] = t
+                        else:
+                            np.subtract(t, q, out=q)
+                            q *= momentum
+                            q += t
+                            C = t_prev
+                elif draw[0] is not None:
+                    _put_phase(C[r], draw[0][r], s_hat[r])
+                if last:
+                    finite[i] &= bool(np.isfinite(C[r]).all())
+                if not last or project:    # start round k + 1 from C_k
+                    _set_magnitude(C[r], s_hat[r], ratio[:r.stop - r.start])
+                if not last or synthesize:
+                    plan.synthesize_rows(C, r, spectra)
+            if momentum and k > 1:
+                C_k, t_prev = t_prev, C_k
+            if not last or synthesize:
+                barrier.wait()
+                if k == 0 and i == 0:
+                    draw.clear()
+                for c in _chunks(cells, cell_chunk):
+                    plan.overlap_add(c, acc)
+                if not last:
+                    barrier.wait()
+        return C_k
+
+    def guarded(i: int) -> np.ndarray:
+        # numpy's error state is per thread; overflow is left to the
+        # finiteness check below
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return run(i)
+        except BaseException as e:    # free the other threads before reporting
+            errors[i] = e
+            barrier.abort()
+
+    threads = [threading.Thread(target=guarded, args=(i,)) for i in range(1, len(blocks))]
+    for thread in threads:
+        thread.start()
+    result = guarded(0)    # X itself stays bound: a late-starting worker still reads it
+    for thread in threads:
+        thread.join()
+    # the thread that failed first aborted the barrier; the others saw it break
+    failed = [e for e in errors
+              if e is not None and not isinstance(e, threading.BrokenBarrierError)]
+    if failed:
+        raise failed[0]
+    if not all(finite):
+        raise ValueError("spectrogram overflowed: its values are not all finite")
+    return plan.output if synthesize else result
 
 
 def stft(y: Waveform, p: StftParams) -> ComplexSpectrogram:
@@ -375,7 +537,8 @@ def stft(y: Waveform, p: StftParams) -> ComplexSpectrogram:
     """
     x = y.samples
     plan = _StftPlan(p, x.shape[0], p.frames_for_length(x.shape[0]))
-    return ComplexSpectrogram(plan.analyze(x), p, x.shape[0])
+    plan.pad(x)
+    return ComplexSpectrogram(_project_rounds(plan, None, 0, 0.0), p, x.shape[0])
 
 
 def istft(C: ComplexSpectrogram, target_length: int | None = None) -> Waveform:
@@ -389,5 +552,6 @@ def istft(C: ComplexSpectrogram, target_length: int | None = None) -> Waveform:
     """
     length = (C.origin_length if target_length is None
               else C.params.synthesis_length(C.n_frames, target_length))
-    return Waveform(_StftPlan(C.params, length, C.n_frames).synthesize(C.frames))
+    plan = _StftPlan(C.params, length, C.n_frames)
+    return Waveform(_project_rounds(plan, None, 0, 0.0, X=C.frames, synthesize=True))
 

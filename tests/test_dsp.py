@@ -1,6 +1,7 @@
 """STFT / iSTFT tests: frozen small-case oracles plus algebraic invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,17 @@ def test_istft_rejects_overlong_target():
     for t in (longest + 1, 4500, reconstructable + 1):
         with pytest.raises(ValueError, match="target_length"):
             istft(C, target_length=t)
+
+
+def test_transform_overflow_raises_one_error_and_no_warning():
+    p = default_params()
+    huge = ComplexSpectrogram(np.full((17, p.n_bins), 1e307 + 0j), p, p.max_length_for_frames(17))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            stft(Waveform(np.full(4096, 1e308)), p)
+        with pytest.raises(ValueError, match="non-finite"):
+            istft(huge)
 
 
 # ---------------------------------------------------------------- dataclasses

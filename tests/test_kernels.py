@@ -9,6 +9,7 @@ rectangular window, a signal shorter than the padding, a single sample.
 import numpy as np
 import pytest
 
+import glavoc.dsp as dsp
 from glavoc.dsp import (
     ComplexSpectrogram,
     StftParams,
@@ -80,16 +81,21 @@ GEOMETRIES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GEOMETRIES))
-def test_stft_matches_loop_reference(name):
+def split_transforms(mp, chunk_rows, cores):
+    # a transform runs no rounds, so it stays one block however many cores
+    mp.setattr(dsp, "CHUNK_ROWS", chunk_rows)
+    mp.setattr(dsp, "_cores", lambda: cores)
+    mp.setattr(dsp, "MIN_BLOCK_SAMPLES", 1)
+
+
+def check_stft(name):
     p, n = GEOMETRIES[name]
     x = np.random.default_rng(len(name)).standard_normal(n)
     expected = np.fft.rfft(reference_frames(x, p), n=p.n_fft, axis=1)
     assert np.array_equal(stft(Waveform(x), p).frames, expected)
 
 
-@pytest.mark.parametrize("name", sorted(GEOMETRIES))
-def test_istft_matches_loop_reference(name):
+def check_istft(name):
     # same products, same summation order: equal, not merely close
     p, n = GEOMETRIES[name]
     rng = np.random.default_rng(len(name))
@@ -98,6 +104,32 @@ def test_istft_matches_loop_reference(name):
     frames = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     got = istft(ComplexSpectrogram(frames, p, n)).samples
     assert np.array_equal(got, reference_istft(frames, p, n))
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_stft_matches_loop_reference(name):
+    check_stft(name)
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_istft_matches_loop_reference(name):
+    check_istft(name)
+
+
+@pytest.mark.parametrize("cores", (1, 3))
+@pytest.mark.parametrize("chunk_rows", (1, 3, 64))
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_split_stft_matches_loop_reference(name, chunk_rows, cores, monkeypatch):
+    split_transforms(monkeypatch, chunk_rows, cores)
+    check_stft(name)
+
+
+@pytest.mark.parametrize("cores", (1, 3))
+@pytest.mark.parametrize("chunk_rows", (1, 3, 64))
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_split_istft_matches_loop_reference(name, chunk_rows, cores, monkeypatch):
+    split_transforms(monkeypatch, chunk_rows, cores)
+    check_istft(name)
 
 
 def test_frame_signal_matches_brute_force():

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from signals import harmonic_signal
 
-import glavoc.phase as phase
+import glavoc.dsp as dsp
 from glavoc.dsp import ComplexSpectrogram, StftParams, Waveform, istft, stft
 from glavoc.phase import (
     GlaConfig,
@@ -277,11 +277,11 @@ def test_bursts_match_the_reference_loop(entry, momentum):
 
 def test_fgla_overflowing_target_raises(monkeypatch):
     # only the ValueError, no RuntimeWarning first, on one row block and on two
-    n_frames = 2 * phase.MIN_BLOCK_SAMPLES // P.n_fft
+    n_frames = 2 * dsp.MIN_BLOCK_SAMPLES // P.n_fft
     s_hat = np.full((n_frames, P.n_bins), 1e306)
     for cores in (1, 2):
-        monkeypatch.setattr(phase, "_cores", lambda: cores)
-        assert len(phase._row_blocks(n_frames, P.n_fft)) == cores
+        monkeypatch.setattr(dsp, "_cores", lambda: cores)
+        assert len(dsp._row_blocks(n_frames, P.n_fft)) == cores
         for momentum in (0.0, 0.99):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -328,11 +328,11 @@ def burst_outputs(p, n_frames, length=None, iterations=3):
 @pytest.mark.parametrize("name", sorted(SPLIT_GEOMETRIES))
 def test_bursts_are_identical_however_the_rows_split(name, monkeypatch):
     p = SPLIT_GEOMETRIES[name]
-    n_frames = max(300, 7 * phase.MIN_BLOCK_SAMPLES // p.n_fft)
+    n_frames = max(300, 7 * dsp.MIN_BLOCK_SAMPLES // p.n_fft)
     outputs = {}
     for cores in (1, 2, 3, 7):
-        monkeypatch.setattr(phase, "_cores", lambda: cores)
-        blocks = phase._row_blocks(n_frames, p.n_fft)
+        monkeypatch.setattr(dsp, "_cores", lambda: cores)
+        blocks = dsp._row_blocks(n_frames, p.n_fft)
         assert len(blocks) == cores
         outputs[cores] = burst_outputs(p, n_frames)
     if name == "small_hop":
@@ -365,30 +365,52 @@ def test_bursts_are_identical_under_any_row_split(data):
     chunk_rows = data.draw(st.sampled_from((1, 3, 64)), "chunk_rows")
     with pytest.MonkeyPatch.context() as mp:
         # every input splits into one block per core, down to empty blocks
-        mp.setattr(phase, "MIN_BLOCK_SAMPLES", 1)
-        mp.setattr(phase, "_cores", lambda: 1)
-        mp.setattr(phase, "CHUNK_ROWS", n_frames)
+        mp.setattr(dsp, "MIN_BLOCK_SAMPLES", 1)
+        mp.setattr(dsp, "_cores", lambda: 1)
+        mp.setattr(dsp, "CHUNK_ROWS", n_frames)
         serial = burst_outputs(p, n_frames, length, iterations)
-        mp.setattr(phase, "_cores", lambda: cores)
-        mp.setattr(phase, "CHUNK_ROWS", chunk_rows)
+        mp.setattr(dsp, "_cores", lambda: cores)
+        mp.setattr(dsp, "CHUNK_ROWS", chunk_rows)
         split = burst_outputs(p, n_frames, length, iterations)
     for want, got in zip(serial, split):
         assert np.array_equal(want, got)
 
 
+def test_a_pass_with_no_rounds_starts_no_thread(monkeypatch):
+    # transforms and zero-round bursts run on the calling thread at any core count
+    y = Waveform(np.random.default_rng(22).standard_normal(40000))
+    s_hat = 1.1 * stft(y, P).magnitude()
+
+    def outputs():
+        C = stft(y, P)
+        return [C.frames, istft(C).samples, gla_correct(y, s_hat, 0, P).samples,
+                fgla(s_hat, P, GlaConfig(iterations=0)).samples]
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(dsp, "_cores", lambda: 1)
+    serial = outputs()
+    monkeypatch.setattr(dsp, "_cores", lambda: 3)
+    monkeypatch.setattr(dsp, "MIN_BLOCK_SAMPLES", 1)
+    monkeypatch.setattr(dsp.threading, "Thread", no_thread)
+    for want, got in zip(serial, outputs()):
+        assert np.array_equal(want, got)
+
+
 def test_a_failing_block_thread_is_reported(monkeypatch):
     # a worker's own error comes back to the caller, and no thread is left waiting
-    n_frames = 3 * phase.MIN_BLOCK_SAMPLES // P.n_fft
+    n_frames = 3 * dsp.MIN_BLOCK_SAMPLES // P.n_fft
     s_hat = np.ones((n_frames, P.n_bins))
-    set_magnitude = phase._set_magnitude
+    set_magnitude = dsp._set_magnitude
 
     def fails_off_the_calling_thread(*args):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("injected")
         return set_magnitude(*args)
 
-    monkeypatch.setattr(phase, "_cores", lambda: 3)
-    monkeypatch.setattr(phase, "_set_magnitude", fails_off_the_calling_thread)
+    monkeypatch.setattr(dsp, "_cores", lambda: 3)
+    monkeypatch.setattr(dsp, "_set_magnitude", fails_off_the_calling_thread)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="injected"):
         fgla(s_hat, P, GlaConfig(iterations=4))
@@ -398,12 +420,12 @@ def test_a_failing_block_thread_is_reported(monkeypatch):
 def test_concurrent_split_bursts_match_the_serial_one(monkeypatch):
     # four bursts at once, each split over three blocks, with the
     # interpreter switching threads far more often than by default
-    n_frames = 3 * phase.MIN_BLOCK_SAMPLES // P.n_fft
+    n_frames = 3 * dsp.MIN_BLOCK_SAMPLES // P.n_fft
     s_hat = np.abs(np.random.default_rng(21).standard_normal((n_frames, P.n_bins)))
     cfg = GlaConfig(iterations=6, momentum=0.99, seed=21)
-    monkeypatch.setattr(phase, "_cores", lambda: 1)
+    monkeypatch.setattr(dsp, "_cores", lambda: 1)
     serial = fgla(s_hat, P, cfg).samples
-    monkeypatch.setattr(phase, "_cores", lambda: 3)
+    monkeypatch.setattr(dsp, "_cores", lambda: 3)
     results = [None] * 4
 
     def run(i):

@@ -7,7 +7,7 @@ import pytest
 
 from signals import harmonic_signal
 
-import glavoc.phase as phase
+import glavoc.dsp as dsp
 import glavoc.sampler as sampler_mod
 from glavoc.diffusion import (
     OraclePredictor,
@@ -81,10 +81,10 @@ def test_correction_is_homogeneous_in_target():
 def test_correction_overflowing_target_raises(monkeypatch):
     # only the ValueError, no RuntimeWarning first, on one row block and on two
     y = Waveform(np.random.default_rng(5).standard_normal(L))
-    assert S_HAT.shape[0] >= 2 * phase.MIN_BLOCK_SAMPLES // P.n_fft
+    assert S_HAT.shape[0] >= 2 * dsp.MIN_BLOCK_SAMPLES // P.n_fft
     for cores in (1, 2):
-        monkeypatch.setattr(phase, "_cores", lambda: cores)
-        assert len(phase._row_blocks(S_HAT.shape[0], P.n_fft)) == cores
+        monkeypatch.setattr(dsp, "_cores", lambda: cores)
+        assert len(dsp._row_blocks(S_HAT.shape[0], P.n_fft)) == cores
         for momentum in (0.0, 0.9):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
