@@ -15,7 +15,7 @@ from pathlib import Path
 from .audio_io import read_wav, write_wav
 from .config import RunConfig, load_config
 from .diffusion import OraclePredictor, ZeroPredictor
-from .dsp import stft
+from .dsp import Waveform, stft
 from .melscale import MelSpectrogram, mel_spectrogram, pseudo_inverse_magnitude, read_mels, write_mels
 from .metrics import EvalReport, log_spectral_distance, snr, spectral_convergence
 from .phase import fgla
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
 
 # ------------------------------------------------------------------- commands
 
-def _read_wav_checked(path, cfg) -> "Waveform":
+def _read_wav_checked(path, cfg) -> Waveform:
     wave, spec = read_wav(path)
     if spec.sample_rate != cfg.sample_rate:
         raise ValueError(
@@ -194,10 +194,9 @@ def cmd_simulate(args, cfg) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.wav).stem
-    params = cfg.stft_params()
 
-    ref_spec = stft(wave, params)
-    mel = mel_spectrogram(ref_spec.magnitude(), cfg.filterbank())
+    ref_mag = stft(wave, cfg.stft_params()).magnitude()
+    mel = mel_spectrogram(ref_mag, cfg.filterbank())
     write_mels(outdir / f"{stem}.mels", mel)
 
     out = sample(OraclePredictor(wave), mel, cfg.sampler_config(),
@@ -205,33 +204,32 @@ def cmd_simulate(args, cfg) -> int:
     generated = f"{stem}_generated.wav"
     write_wav(outdir / generated, out, cfg.wav_spec())
 
-    est_mag = stft(out, params).magnitude()
-    ref_mag = ref_spec.magnitude()
-    s_hat = pseudo_inverse_magnitude(mel)
+    row, est_mag = _scores(wave, ref_mag, out, cfg)
+    row["lsd_target"] = log_spectral_distance(pseudo_inverse_magnitude(mel), est_mag,
+                                              cfg.lsd_floor)
     report = EvalReport()
-    report.add(generated, "snr", snr(wave, out))
-    report.add(generated, "spectral_convergence", spectral_convergence(ref_mag, est_mag))
-    report.add(generated, "lsd", log_spectral_distance(ref_mag, est_mag, cfg.lsd_floor))
-    report.add(generated, "lsd_target",
-               log_spectral_distance(s_hat, est_mag, cfg.lsd_floor))
+    for metric, value in row.items():
+        report.add(generated, metric, value)
     report.write_csv(outdir / "report.csv")
     return 0
 
 
-def _evaluate_pair(name, ref_dir, est_dir, cfg):
-    params = cfg.stft_params()
-    ref = _read_wav_checked(ref_dir / name, cfg)
-    est = _read_wav_checked(est_dir / name, cfg)
-    n = min(len(ref), len(est))
-    ref = type(ref)(ref.samples[:n])
-    est = type(est)(est.samples[:n])
-    ref_mag = stft(ref, params).magnitude()
-    est_mag = stft(est, params).magnitude()
-    return name, {
+def _scores(ref, ref_mag, est, cfg):
+    """evaluate's metrics of ``est`` against ``ref`` and ``ref_mag``, and est's magnitude."""
+    est_mag = stft(est, cfg.stft_params()).magnitude()
+    return {
         "snr": snr(ref, est),
         "spectral_convergence": spectral_convergence(ref_mag, est_mag),
         "lsd": log_spectral_distance(ref_mag, est_mag, cfg.lsd_floor),
-    }
+    }, est_mag
+
+
+def _evaluate_pair(name, ref_dir, est_dir, cfg):
+    ref = _read_wav_checked(ref_dir / name, cfg)
+    est = _read_wav_checked(est_dir / name, cfg)
+    n = min(len(ref), len(est))
+    ref, est = Waveform(ref.samples[:n]), Waveform(est.samples[:n])
+    return name, _scores(ref, stft(ref, cfg.stft_params()).magnitude(), est, cfg)[0]
 
 
 def cmd_evaluate(args, cfg) -> int:

@@ -81,7 +81,13 @@ def named_schedule(name: str, rooted_sigma: bool = True) -> NoiseSchedule:
             lines = [ln.strip() for ln in fh]
     except OSError as exc:
         raise ValueError(f"unknown schedule {name!r} (not built-in, not a readable file): {exc}")
-    betas = [float(ln) for ln in lines if ln and not ln.startswith("#")]
+    betas = []
+    for number, ln in enumerate(lines, 1):
+        if ln and not ln.startswith("#"):
+            try:
+                betas.append(float(ln))
+            except ValueError:
+                raise ValueError(f"{name}: line {number}: bad beta {ln!r}") from None
     if not betas:
         raise ValueError(f"schedule file {name!r} holds no beta values")
     return schedule_from_betas(betas, rooted_sigma)

@@ -29,6 +29,8 @@ Griffin-Lim bursts of :mod:`glavoc.phase` run theirs.  A step is a row
 pass, CHUNK_ROWS frame rows at a time through analysis, momentum,
 magnitude projection and synthesis, then an overlap-add pass writing
 normalized samples and their reflect-pad mirrors into the padded signal.
+Each array is scanned for finiteness once, by the :class:`ComplexSpectrogram`
+or :class:`Waveform` holding it, or by the engine if none does.
 
 A call with rounds splits the rows into contiguous blocks, one per core
 the process may run on while each holds MIN_BLOCK_SAMPLES frame samples,
@@ -335,17 +337,15 @@ class _StftPlan:
         self.padded[pad:pad + self.length] = x
         self.padded[self.edge_dst] = x[self.edge_src]
 
-    def analyze_rows(self, rows: slice, buf: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """One-sided spectrum of the windowed frames ``rows`` of ``padded``.
+    def analyze_rows(self, rows: slice, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One-sided spectrum of the windowed frames ``rows`` of ``padded``, into ``out[rows]``.
 
         ``buf`` is a :meth:`frame_buffer` of at least that many rows.
-        Written into ``out[rows]`` when ``out`` is given.
         """
         p = self.p
         frames = buf[:rows.stop - rows.start]
         np.multiply(self.windows[rows], p.window, out=frames[:, self.support])
-        return np.fft.rfft(frames, n=p.n_fft, axis=1,
-                           out=None if out is None else out[rows])
+        return np.fft.rfft(frames, n=p.n_fft, axis=1, out=out[rows])
 
     def synthesize_rows(self, X: np.ndarray, rows: slice, buf: np.ndarray) -> None:
         """Windowed inverse transform of ``X[rows]`` into ``F[rows]``, through ``buf``."""
@@ -433,7 +433,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     signal.  ``s_hat`` may then be None if no magnitude is projected.
     ``synthesize`` returns the signal of the last iterate, after one more
     magnitude projection if ``project``; otherwise the iterate itself
-    comes back.  Raises ValueError if the last iterate is not finite.
+    comes back.  Raises ValueError if a synthesized iterate built here is not finite.
 
     Each step runs two passes on the threads of :func:`_row_blocks`, one
     row block and one range of output cells each; a call with no rounds
@@ -445,6 +445,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     """
     p = plan.p
     analyze_first = X is None and phase is None
+    scan_last = synthesize and X is None
     if X is None:
         X = np.empty((plan.n_frames, p.n_bins), dtype=np.complex128)
     prev = np.empty_like(X) if momentum and iterations else None
@@ -485,7 +486,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                             C = t_prev
                 elif draw[0] is not None:
                     _put_phase(C[r], draw[0][r], s_hat[r])
-                if last:
+                if last and scan_last:
                     finite[i] &= bool(np.isfinite(C[r]).all())
                 if not last or project:    # start round k + 1 from C_k
                     _set_magnitude(C[r], s_hat[r], ratio[:r.stop - r.start])

@@ -5,6 +5,7 @@ spectrogram consistency.  Perceptual scores are deliberately left to the
 standard external tools; the generated WAVs feed straight into them.
 """
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,13 +100,12 @@ class EvalReport:
         return float(np.std(self.values(metric)))
 
     def write_csv(self, path) -> None:
-        lines = ["file,metric,value"]
-        for file in sorted(self.entries):
-            for metric in sorted(self.entries[file]):
-                lines.append(f"{file},{metric},{self.entries[file][metric]:.6g}")
-        for metric in self.metrics():
-            lines.append(f"__mean__,{metric},{self.mean(metric):.6g}")
-        for metric in self.metrics():
-            lines.append(f"__std__,{metric},{self.std(metric):.6g}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Write the rows as CSV; a file name holding a comma or quote is quoted."""
+        rows = [(file, metric, value) for file in sorted(self.entries)
+                for metric, value in sorted(self.entries[file].items())]
+        rows += [("__mean__", metric, self.mean(metric)) for metric in self.metrics()]
+        rows += [("__std__", metric, self.std(metric)) for metric in self.metrics()]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(("file", "metric", "value"))
+            out.writerows((file, metric, f"{value:.6g}") for file, metric, value in rows)

@@ -10,8 +10,11 @@ Every burst of rounds, from :func:`gla`, :func:`fgla` and the sampler's
 correction :func:`gla_correct`, runs on the transforms' own engine,
 :func:`glavoc.dsp._project_rounds`, from the starting iterate (or the
 first analysis) to the last iterate (or the synthesized signal).  Inputs
-are validated here, at the public entry points, and the burst's last
-iterate is checked once for overflow; nothing is revalidated per round.
+are validated here, at the public entry points, and nothing is
+revalidated per round.  The :class:`ComplexSpectrogram` that :func:`gla`
+returns checks its frames for overflow; for :func:`fgla` and
+:func:`gla_correct`, whose last iterate no such type holds, the engine
+checks it before synthesis.
 """
 
 from dataclasses import dataclass
@@ -49,6 +52,14 @@ class GlaConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+
+
+def _check_target(s_hat: np.ndarray, params: StftParams) -> np.ndarray:
+    """A 2-D magnitude target of any frame count, checked as :func:`_check_magnitude` does."""
+    s = np.asarray(s_hat, dtype=np.float64)
+    if s.ndim != 2:
+        raise ValueError(f"magnitude must be 2-D, got shape {s.shape}")
+    return _check_magnitude(s, s.shape[0], params.n_bins)
 
 
 def _check_magnitude(s_hat: np.ndarray, n_frames: int, n_bins: int) -> np.ndarray:
@@ -123,7 +134,7 @@ def initial_spectrogram(
 
     Its origin length is the longest signal the frame count describes.
     """
-    s = np.asarray(s_hat, dtype=np.float64)
+    s = _check_target(s_hat, params)
     X = np.empty(s.shape, dtype=np.complex128)
     _put_phase(X, _initial_phase(s.shape, cfg.seed), s)
     return ComplexSpectrogram(X, params, params.max_length_for_frames(s.shape[0]))
@@ -147,10 +158,7 @@ def fgla(
     frame count describes) keeps that many leading samples, at the rate
     of the mel the magnitudes came from.
     """
-    s = np.asarray(s_hat, dtype=np.float64)
-    if s.ndim != 2:
-        raise ValueError(f"magnitude must be 2-D, got shape {s.shape}")
-    s = _check_magnitude(s, s.shape[0], params.n_bins)
+    s = _check_target(s_hat, params)
     target_length = params.synthesis_length(s.shape[0], target_length)
     plan = _StftPlan(params, params.max_length_for_frames(s.shape[0]), s.shape[0])
     out = _project_rounds(plan, s, cfg.iterations, cfg.momentum,

@@ -1,5 +1,6 @@
 """Config round-tripping, CLI exit codes, and end-to-end command behavior."""
 
+import csv
 import struct
 
 import numpy as np
@@ -121,6 +122,16 @@ def test_config_rejects_unusable_values():
         RunConfig.from_text("center = false\n")
     with pytest.raises(ValueError, match="jobs"):
         RunConfig.from_text("", {"jobs": -1})
+
+
+def test_bad_schedule_line_names_the_file_and_line(tmp_path, capsys):
+    betas = tmp_path / "betas.txt"
+    betas.write_text("0.1\nabc\n")
+    config = tmp_path / "schedule.cfg"
+    config.write_text(f"schedule = {betas}\n")
+    assert main(["vocode", str(tmp_path / "a.mels"), "-o", str(tmp_path / "a.wav"),
+                 "--predictor", "zero", "--config", str(config)]) == 1
+    assert f"glavoc: error: {betas}: line 2: bad beta 'abc'" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -258,6 +269,27 @@ def test_evaluate_pairs(tmp_path, capsys):
     assert sum(1 for ln in lines if ln.startswith("a.wav,")) == 3
     assert sum(1 for ln in lines if ln.startswith("b.wav,")) == 3
     assert any(ln.startswith("__mean__,snr,") for ln in lines)
+    capsys.readouterr()
+
+
+def test_reports_quote_file_names(tmp_path, capsys):
+    ref, est = tmp_path / "ref", tmp_path / "est"
+    ref.mkdir()
+    est.mkdir()
+    make_wav(ref / "a,b.wav")
+    make_wav(est / "a,b.wav", seed=2)
+    out = tmp_path / "report.csv"
+    assert main(["evaluate", str(ref), str(est), "-o", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["file"] for row in rows} == {"a,b.wav", "__mean__", "__std__"}
+    assert {row["metric"] for row in rows} == {"snr", "spectral_convergence", "lsd"}
+    assert main(["simulate", str(ref / "a,b.wav"), "-o", str(tmp_path / "sim")]) == 0
+    with open(tmp_path / "sim" / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["file"] for row in rows} == {"a,b_generated.wav", "__mean__", "__std__"}
+    assert {row["metric"] for row in rows} == {"snr", "spectral_convergence", "lsd",
+                                               "lsd_target"}
     capsys.readouterr()
 
 

@@ -1,5 +1,7 @@
 """Schedule arithmetic, reverse-step algebra, loss, and noise shaping."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,13 @@ def test_named_and_file_schedules(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no beta"):
         named_schedule(str(empty))
+
+
+def test_schedule_file_names_its_bad_line(tmp_path):
+    bad = tmp_path / "bad.betas"
+    bad.write_text("0.1\nabc\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: line 2: bad beta 'abc'")):
+        named_schedule(str(bad))
 
 
 # ------------------------------------------------------------------- forward

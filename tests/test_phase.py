@@ -289,6 +289,66 @@ def test_fgla_overflowing_target_raises(monkeypatch):
                     fgla(s_hat, P, GlaConfig(iterations=4, momentum=momentum))
 
 
+def test_fgla_scans_frames_past_its_target_length():
+    # only the last 3 of 100 frames overflow, all of them past the 3000 kept samples
+    s_hat = np.ones((100, P.n_bins))
+    s_hat[-3:] = 1e306
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            fgla(s_hat, P, GlaConfig(iterations=4), target_length=3000)
+
+
+def test_gla_overflowing_target_raises(monkeypatch):
+    # only the ValueError, no RuntimeWarning first, on one row block and on two
+    n_frames = 2 * dsp.MIN_BLOCK_SAMPLES // P.n_fft
+    C0 = random_spectrogram(n_frames, 23)
+    s_hat = np.full(C0.frames.shape, 1e306)
+    for cores in (1, 2):
+        monkeypatch.setattr(dsp, "_cores", lambda: cores)
+        assert len(dsp._row_blocks(n_frames, P.n_fft)) == cores
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                gla(C0, s_hat, 4)
+
+
+def test_each_array_is_scanned_for_finiteness_once(monkeypatch):
+    # every returned array and every validated input, counted in elements
+    y = Waveform(np.random.default_rng(24).standard_normal(8000))
+    s_hat = np.abs(stft(y, P).frames)
+    seen = [0]
+    scan = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        seen[0] += np.size(x)
+        return scan(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    C = stft(y, P)
+    assert seen[0] == C.frames.size
+    seen[0] = 0
+    out = istft(C)
+    assert seen[0] == out.samples.size
+    seen[0] = 0
+    G = gla(C, s_hat, 3)
+    assert seen[0] == s_hat.size + G.frames.size
+
+
+def test_starting_iterate_builders_reject_the_same_magnitudes():
+    bad = {
+        "nonnegative": -np.ones((8, P.n_bins)),
+        "finite": np.full((8, P.n_bins), np.nan),
+        "2-D": np.array(1.0),
+        "magnitude shape": np.ones((8, 7)),
+    }
+    for message, s_hat in bad.items():
+        with pytest.raises(ValueError, match=message):
+            initial_spectrogram(s_hat, P, GlaConfig())
+        with pytest.raises(ValueError, match=message):
+            fgla(s_hat, P, GlaConfig(iterations=1))
+
+
 def test_fgla_rejects_mels_no_signal_produces():
     fewest = P.frames_for_length(1)
     assert fewest == 4
