@@ -25,10 +25,10 @@ Every transform runs in one engine, :func:`_project_rounds`, on a
 pair: the padded signal and its reflect-pad edge map, the window support
 and the squared-window normalizer.  :func:`stft` is its first analysis
 and :func:`istft` its last synthesis, with no rounds between; the
-Griffin-Lim bursts of :mod:`glavoc.phase` run theirs.  A step is a row
-pass, CHUNK_ROWS frame rows at a time through analysis, momentum,
-magnitude projection and synthesis, then an overlap-add pass writing
-normalized samples and their reflect-pad mirrors into the padded signal.
+Griffin-Lim bursts of :mod:`glavoc.phase` run theirs.  A step is a
+spectral row pass, CHUNK_ROWS frame rows at a time through analysis,
+momentum and magnitude projection, then a time-domain overlap-add pass
+that synthesizes frames into normalized samples of the padded signal.
 Each array is scanned for finiteness once, by the :class:`ComplexSpectrogram`
 or :class:`Waveform` holding it, or by the engine if none does.
 
@@ -57,8 +57,8 @@ NORMALIZATION_FLOOR = 1e-10
 # take 0.76-0.87 of one block, at 64k 0.62-0.73.
 MIN_BLOCK_SAMPLES = 1 << 15
 
-# Rows the row pass takes through analysis, momentum, magnitude projection
-# and synthesis in one go, so each stage finds the chunk still in cache.
+# Frame rows a pass takes through its stages in one go, so each stage
+# finds the chunk still in cache.
 # On a 60 s clip (4414 frames of 2048; 2 cores, 1 MB L2 each, 32 MB L3),
 # chunks of 16/32/64/128/256 rows gave 25.7/24.3/22.8/24.2/26.3 ms per
 # momentum round.
@@ -257,15 +257,15 @@ class _StftPlan:
     from sample ``pad_amount`` on, reflect-padded at both ends and zero
     past that; analysis reads its frames and synthesis writes it.
 
-    A transform is two passes.  The row pass works on a slice of frame
-    rows through an n_fft-wide buffer: :meth:`analyze_rows` windows frames
-    of ``padded`` and takes their rfft, :meth:`synthesize_rows` takes the
-    irfft and writes the windowed support into ``F``.  The overlap-add
-    pass, :meth:`overlap_add`, sums ``F`` over a range of hop-sized output
-    cells, the range ``cells`` covers, and writes the normalized samples
-    and the reflect-pad edges they are mirrored to into ``padded``.
-    Disjoint row slices, and disjoint cell ranges, may run on different
-    threads.
+    A transform is two passes, one per domain.  The row pass works on a
+    slice of frame rows through an n_fft-wide buffer: :meth:`analyze_rows`
+    windows frames of ``padded`` and takes their rfft.  The overlap-add
+    pass, :meth:`overlap_add`, takes the irfft and window of every frame
+    reaching a range of the hop-sized output cells ``cells`` covers, sums
+    them per cell and writes the normalized samples and their reflect-pad
+    mirrors into ``padded``; the ``n_pieces - 1`` frames before a range
+    reach into it.  Disjoint row slices, and disjoint cell ranges, may
+    run on different threads.
     """
 
     def __init__(self, p: StftParams, length: int, n_frames: int):
@@ -285,7 +285,7 @@ class _StftPlan:
         # cell c holds padded samples left + c*hop onward; these cover the output region
         self.cells = slice((pad - left) // p.hop, -(-(pad + length - left) // p.hop))
         self.n_pieces = -(-p.win_length // p.hop)
-        self.F = self.norm = None
+        self.norm = None
 
     def frame_buffer(self, rows: int) -> np.ndarray:
         """An n_fft-wide buffer of ``rows`` frames, zero outside the window support."""
@@ -298,8 +298,9 @@ class _StftPlan:
         """Squared-window overlap-add sum over the output region."""
         p = self.p
         wsq = p.window * p.window
-        acc = np.empty((self.cells.stop - self.cells.start, p.hop))
-        self._cell_sums(np.broadcast_to(wsq, (self.n_frames, wsq.shape[0])), self.cells, acc)
+        acc = np.zeros((self.cells.stop - self.cells.start, p.hop))
+        self._cell_sums(np.broadcast_to(wsq, (self.n_frames, wsq.shape[0])),
+                        slice(0, self.n_frames), self.cells, acc)
         first = p.pad_amount - self.support.start - self.cells.start * p.hop
         norm = acc.reshape(-1)[first:first + self.length]
         if norm.min() < NORMALIZATION_FLOOR:
@@ -311,25 +312,20 @@ class _StftPlan:
             )
         return norm
 
-    def _cell_sums(self, frames: np.ndarray, cells: slice, acc: np.ndarray) -> None:
-        """Sum support-wide frames into the rows of ``acc``, one per hop-sized cell.
+    def _cell_sums(self, frames: np.ndarray, rows: slice, cells: slice, acc: np.ndarray) -> None:
+        """Add the support-wide frames ``rows`` into the rows of ``acc``, one per cell of ``cells``.
 
         Frame k's j-th hop-wide piece lands in cell k + j; the last piece
-        may be narrower.  Pieces go from the last to the first, which adds
-        each sample's terms in increasing frame order, starting from 0.0.
+        may be narrower.  Pieces go from the last to the first, so calls on
+        consecutive row slices in increasing order, onto an ``acc`` of
+        zeros, add each sample's terms in increasing frame order from 0.0.
         """
         hop, c0, c1 = self.p.hop, cells.start, cells.stop
-        acc[:c1 - c0] = 0.0
         for j in range(self.n_pieces - 1, -1, -1):
-            k0, k1 = max(c0 - j, 0), min(c1 - j, self.n_frames)
+            k0, k1 = max(c0 - j, rows.start), min(c1 - j, rows.stop)
             if k0 < k1:
-                piece = frames[k0:k1, j * hop:(j + 1) * hop]
+                piece = frames[k0 - rows.start:k1 - rows.start, j * hop:(j + 1) * hop]
                 acc[k0 + j - c0:k1 + j - c0, :piece.shape[1]] += piece
-
-    def prepare_synthesis(self) -> None:
-        """Build the normalizer and the support-only frames ``F`` synthesis writes."""
-        self.norm = self._build_norm()
-        self.F = np.empty((self.n_frames, self.p.win_length))
 
     def pad(self, x: np.ndarray) -> None:
         """Reflect-pad ``x`` into ``padded``."""
@@ -347,20 +343,22 @@ class _StftPlan:
         np.multiply(self.windows[rows], p.window, out=frames[:, self.support])
         return np.fft.rfft(frames, n=p.n_fft, axis=1, out=out[rows])
 
-    def synthesize_rows(self, X: np.ndarray, rows: slice, buf: np.ndarray) -> None:
-        """Windowed inverse transform of ``X[rows]`` into ``F[rows]``, through ``buf``."""
-        p = self.p
-        frames = np.fft.irfft(X[rows], n=p.n_fft, axis=1, out=buf[:rows.stop - rows.start])
-        np.multiply(frames[:, self.support], p.window, out=self.F[rows])
+    def overlap_add(self, X: np.ndarray, cells: slice, buf: np.ndarray, acc: np.ndarray) -> None:
+        """Normalized overlap-add of the frames of ``X`` over ``cells`` into ``padded``.
 
-    def overlap_add(self, cells: slice, acc: np.ndarray) -> None:
-        """Normalized overlap-add of ``F`` over ``cells`` into ``padded``.
-
-        ``acc`` holds at least one hop-wide row per cell.  Every edge
-        position mirroring one of the samples written is written too.
+        Takes the irfft and window of each frame reaching the non-empty
+        range through ``buf``, as many rows at a time as it holds, and sums
+        them into ``acc``, one hop-wide row per cell.  Every edge position
+        mirroring one of the samples written is written too.
         """
         p, pad = self.p, self.p.pad_amount
-        self._cell_sums(self.F, cells, acc)
+        acc[...] = 0.0
+        rows = slice(max(cells.start - self.n_pieces + 1, 0), min(cells.stop, self.n_frames))
+        for r in _chunks(rows, buf.shape[0]):
+            frames = np.fft.irfft(X[r], n=p.n_fft, axis=1, out=buf[:r.stop - r.start])
+            support = frames[:, self.support]
+            support *= p.window
+            self._cell_sums(support, r, cells, acc)
         base = self.support.start + cells.start * p.hop
         lo = max(base, pad)
         hi = min(base + (cells.stop - cells.start) * p.hop, pad + self.length)
@@ -439,9 +437,10 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     row block and one range of output cells each; a call with no rounds
     runs as one block on the calling thread.  The row pass takes
     CHUNK_ROWS rows at a time through the end of round k (analysis and
-    momentum) and the start of round k + 1 (magnitude projection and
-    synthesis); the overlap-add pass refills the plan's padded signal.
-    A barrier follows each pass.
+    momentum) and the start of round k + 1 (magnitude projection); the
+    overlap-add pass synthesizes the frames reaching each cell range,
+    those at a block boundary twice, into the padded signal.  A barrier
+    follows each pass.
     """
     p = plan.p
     analyze_first = X is None and phase is None
@@ -455,9 +454,8 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     # jobs holds one set of chunk buffers
     blocks = _row_blocks(plan.n_frames, p.n_fft) if iterations else [slice(0, plan.n_frames)]
     cell_blocks = _split(plan.cells, len(blocks))
-    cell_chunk = CHUNK_ROWS * plan.n_pieces    # cells holding about CHUNK_ROWS frames' support
     if synthesize or iterations:
-        plan.prepare_synthesis()
+        plan.norm = plan._build_norm()
     barrier = threading.Barrier(len(blocks))
     finite = [True] * len(blocks)
     errors = [None] * len(blocks)
@@ -465,9 +463,10 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     def run(i: int) -> np.ndarray:
         rows, cells = blocks[i], cell_blocks[i]
         m = min(CHUNK_ROWS, rows.stop - rows.start)
-        frames, spectra = plan.frame_buffer(m), np.empty((m, p.n_fft))
-        ratio = np.empty((m, X.shape[1]))
-        acc = np.empty((min(cell_chunk, cells.stop - cells.start), p.hop))
+        frames, ratio = plan.frame_buffer(m), np.empty((m, X.shape[1]))
+        if synthesize or iterations:    # a plain analysis needs no synthesis buffers
+            acc = np.empty((cells.stop - cells.start, p.hop))
+            spectra = np.empty((min(CHUNK_ROWS, len(acc) + plan.n_pieces - 1), p.n_fft))
         C_k, t_prev = X, prev
         for k in range(iterations + 1):
             last = k == iterations
@@ -490,16 +489,14 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                     finite[i] &= bool(np.isfinite(C[r]).all())
                 if not last or project:    # start round k + 1 from C_k
                     _set_magnitude(C[r], s_hat[r], ratio[:r.stop - r.start])
-                if not last or synthesize:
-                    plan.synthesize_rows(C, r, spectra)
             if momentum and k > 1:
                 C_k, t_prev = t_prev, C_k
             if not last or synthesize:
                 barrier.wait()
                 if k == 0 and i == 0:
                     draw.clear()
-                for c in _chunks(cells, cell_chunk):
-                    plan.overlap_add(c, acc)
+                if len(acc):    # a split may leave a thread no cells
+                    plan.overlap_add(C_k, cells, spectra, acc)
                 if not last:
                     barrier.wait()
         return C_k

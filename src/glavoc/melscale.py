@@ -42,6 +42,8 @@ class MelFilterbank:
             raise ValueError(f"weights must be 2-D, got shape {w.shape}")
         if not np.all(np.isfinite(w)) or w.min() < 0.0:
             raise ValueError("filter weights must be finite and nonnegative")
+        if not (np.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ValueError(f"sample_rate must be finite and positive, got {self.sample_rate}")
         self.weights = w
 
     @property

@@ -46,12 +46,17 @@ class GlaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        _check_rounds(self.iterations, self.momentum)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+
+
+def _check_rounds(iterations: int, momentum: float) -> None:
+    """Raise ValueError unless iterations >= 0 and momentum lies in [0, 1)."""
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    if not (0.0 <= momentum < 1.0):
+        raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
 
 
 def _check_target(s_hat: np.ndarray, params: StftParams) -> np.ndarray:
@@ -89,11 +94,10 @@ def project_magnitude(C: ComplexSpectrogram, s_hat: np.ndarray) -> ComplexSpectr
 
 def gla(C0: ComplexSpectrogram, s_hat: np.ndarray, iterations: int) -> ComplexSpectrogram:
     """Plain Griffin-Lim: K composed projections from C0."""
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    _check_rounds(iterations, 0.0)
+    s = _check_magnitude(s_hat, C0.n_frames, C0.params.n_bins)
     if iterations == 0:
         return C0
-    s = _check_magnitude(s_hat, C0.n_frames, C0.params.n_bins)
     C0.params.check_length(C0.n_frames, C0.origin_length)
     plan = _StftPlan(C0.params, C0.origin_length, C0.n_frames)
     X = _project_rounds(plan, s, iterations, 0.0, X=C0.frames.copy())
@@ -114,8 +118,7 @@ def gla_correct(
     trip, the identity up to floating point.  Positive momentum applies
     the accelerated variant across the K rounds.
     """
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    _check_rounds(iterations, momentum)
     plan = _StftPlan(params, len(y), params.frames_for_length(len(y)))
     s = _check_magnitude(s_hat, plan.n_frames, params.n_bins)
     plan.pad(y.samples)

@@ -191,6 +191,14 @@ def test_mels_file_round_trip(tmp_path):
     assert not (tmp_path / "huge.mels").exists() and not (tmp_path / "rate.mels").exists()
 
 
+def test_filterbank_rejects_a_rate_no_mel_file_holds():
+    # read_mels refuses these rates, so no filterbank may carry one to write_mels
+    weights = default_fb().weights
+    for rate in (0.0, -22050.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sample_rate must be finite and positive"):
+            MelFilterbank(weights, rate)
+
+
 def test_mels_rejects_corruption(tmp_path):
     fb = default_fb()
     good = tmp_path / "good.mels"

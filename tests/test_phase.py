@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -118,6 +119,9 @@ def test_gla_zero_iterations_is_identity():
     C = random_spectrogram(12, seed=8)
     out = gla(C, np.abs(C.frames), 0)
     assert out is C
+    # the target is checked as at any other count
+    with pytest.raises(ValueError, match=r"magnitude shape \(3, 3\)"):
+        gla(C, -np.ones((3, 3)), 0)
 
 
 def test_gla_fixed_point_on_consistent_input():
@@ -217,6 +221,22 @@ def test_fgla_init_modes():
         GlaConfig(iterations=-1)
 
 
+def test_every_burst_checks_its_rounds_alike():
+    # GlaConfig's messages for GlaConfig, gla and gla_correct
+    y = Waveform(np.random.default_rng(18).standard_normal(4000))
+    C = stft(y, P)
+    s_hat = C.magnitude()
+    for run in (lambda k, m: GlaConfig(iterations=k, momentum=m),
+                lambda k, m: gla_correct(y, s_hat, k, P, m)):
+        for momentum in (1.0, 1.5, -0.5, np.nan):
+            with pytest.raises(ValueError, match=r"momentum must lie in \[0, 1\)"):
+                run(3, momentum)
+        with pytest.raises(ValueError, match="iterations must be >= 0, got -1"):
+            run(-1, 0.0)
+    with pytest.raises(ValueError, match="iterations must be >= 0, got -1"):
+        gla(C, s_hat, -1)
+
+
 @pytest.mark.parametrize("name", ["default", "uncentered_rectangular"])
 def test_fgla_target_length_keeps_the_leading_samples(name):
     p = SPLIT_GEOMETRIES[name]
@@ -273,6 +293,22 @@ def test_bursts_match_the_reference_loop(entry, momentum):
         got = gla_correct(noise, s_hat, 32, P, momentum).samples
         want = istft(reference_rounds(stft(noise, P), s_hat, 32, momentum), n).samples
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_burst_memory_stays_within_its_per_frame_bound(monkeypatch):
+    # README, Memory: a momentum burst holds 48.2 kB a frame (here the phase
+    # draw stands in for the caller's target) and about 3 MB of chunk
+    # buffers per thread; a support-wide synthesis array would add 9.6 kB
+    n_frames = 2000
+    s_hat = np.random.default_rng(25).random((n_frames, P.n_bins))
+    monkeypatch.setattr(dsp, "_cores", lambda: 2)
+    tracemalloc.start()
+    try:
+        fgla(s_hat, P, GlaConfig(iterations=3, momentum=0.99))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_frames * 50_000 + 2 * 3_000_000
 
 
 def test_fgla_overflowing_target_raises(monkeypatch):
