@@ -418,7 +418,7 @@ def _put_phase(X: np.ndarray, phase: np.ndarray, s: np.ndarray) -> None:
 
 
 def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentum: float,
-                    X: np.ndarray = None, phase: np.ndarray = None,
+                    X: np.ndarray = None, seed: int = None,
                     synthesize: bool = False, project: bool = False) -> np.ndarray:
     """Run ``iterations`` projection rounds; return the last iterate or its signal.
 
@@ -426,8 +426,9 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     iterate is C_k = t_k + m (t_k - t_{k-1}) from the second round on
     (Perraudin, Balazs and Soendergaard, 2013); with m = 0 it is t_k.
     C_0 is ``X``, a validated complex array the caller gives up (read
-    only when no round runs and ``project`` is off); or s_hat under
-    ``phase``; or, with neither, the analysis of the plan's padded
+    only when no round runs and ``project`` is off); or s_hat under the
+    phases ``np.random.default_rng(seed).uniform(-pi, pi)`` draws in
+    row-major order; or, with neither, the analysis of the plan's padded
     signal.  ``s_hat`` may then be None if no magnitude is projected.
     ``synthesize`` returns the signal of the last iterate, after one more
     magnitude projection if ``project``; otherwise the iterate itself
@@ -437,19 +438,17 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     row block and one range of output cells each; a call with no rounds
     runs as one block on the calling thread.  The row pass takes
     CHUNK_ROWS rows at a time through the end of round k (analysis and
-    momentum) and the start of round k + 1 (magnitude projection); the
-    overlap-add pass synthesizes the frames reaching each cell range,
-    those at a block boundary twice, into the padded signal.  A barrier
-    follows each pass.
+    momentum, or round 0's phase draw) and the start of round k + 1
+    (magnitude projection); the overlap-add pass synthesizes the frames
+    reaching each cell range, those at a block boundary twice, into the
+    padded signal.  A barrier follows each pass.
     """
     p = plan.p
-    analyze_first = X is None and phase is None
+    analyze_first = X is None and seed is None
     scan_last = synthesize and X is None
     if X is None:
         X = np.empty((plan.n_frames, p.n_bins), dtype=np.complex128)
     prev = np.empty_like(X) if momentum and iterations else None
-    draw = [phase]      # freed after the first row pass
-    del phase
     # a plain transform stays on its caller's thread, so each of evaluate's
     # jobs holds one set of chunk buffers
     blocks = _row_blocks(plan.n_frames, p.n_fft) if iterations else [slice(0, plan.n_frames)]
@@ -463,7 +462,11 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     def run(i: int) -> np.ndarray:
         rows, cells = blocks[i], cell_blocks[i]
         m = min(CHUNK_ROWS, rows.stop - rows.start)
-        frames, ratio = plan.frame_buffer(m), np.empty((m, X.shape[1]))
+        frames = plan.frame_buffer(m) if iterations or analyze_first else None
+        ratio = np.empty((m, X.shape[1])) if iterations or project else None
+        if seed is not None:    # one 64-bit draw per entry before the block's rows
+            rng = np.random.default_rng(seed)
+            rng.bit_generator.advance(rows.start * X.shape[1])
         if synthesize or iterations:    # a plain analysis needs no synthesis buffers
             acc = np.empty((cells.stop - cells.start, p.hop))
             spectra = np.empty((min(CHUNK_ROWS, len(acc) + plan.n_pieces - 1), p.n_fft))
@@ -483,8 +486,8 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                             q *= momentum
                             q += t
                             C = t_prev
-                elif draw[0] is not None:
-                    _put_phase(C[r], draw[0][r], s_hat[r])
+                elif seed is not None:
+                    _put_phase(C[r], rng.uniform(-np.pi, np.pi, s_hat[r].shape), s_hat[r])
                 if last and scan_last:
                     finite[i] &= bool(np.isfinite(C[r]).all())
                 if not last or project:    # start round k + 1 from C_k
@@ -493,8 +496,6 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                 C_k, t_prev = t_prev, C_k
             if not last or synthesize:
                 barrier.wait()
-                if k == 0 and i == 0:
-                    draw.clear()
                 if len(acc):    # a split may leave a thread no cells
                     plan.overlap_add(C_k, cells, spectra, acc)
                 if not last:
@@ -523,7 +524,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     if failed:
         raise failed[0]
     if not all(finite):
-        raise ValueError("spectrogram overflowed: its values are not all finite")
+        raise ValueError("spectrogram contains non-finite values")
     return plan.output if synthesize else result
 
 

@@ -189,8 +189,9 @@ def write_mels(path, mel: MelSpectrogram) -> None:
 def read_mels(path):
     """Load a mel interchange file; returns (frames, sample_rate).
 
-    The frames come back as float64 with negatives (float32 rounding on
-    values near zero) clamped away so they revalidate as mel data.
+    The frames come back as float64.  Raises ValueError on a non-finite or
+    negative value: no mel spectrogram holds one, so a log-mel file is
+    refused, not read as silence.
     """
     with open(path, "rb") as fh:
         header = fh.read(20)
@@ -213,4 +214,6 @@ def read_mels(path):
     frames = frames.reshape(n_frames, n_bands)
     if not np.all(np.isfinite(frames)):
         raise ValueError(f"{path}: non-finite mel values")
-    return np.maximum(frames, 0.0), float(sample_rate)
+    if frames.min() < 0.0:
+        raise ValueError(f"{path}: negative mel values")
+    return frames, float(sample_rate)

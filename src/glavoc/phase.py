@@ -27,7 +27,6 @@ from .dsp import (
     Waveform,
     _StftPlan,
     _project_rounds,
-    _put_phase,
     _set_magnitude,
     istft,
     stft,
@@ -125,22 +124,19 @@ def gla_correct(
     return Waveform(_project_rounds(plan, s, iterations, momentum, synthesize=True))
 
 
-def _initial_phase(shape: tuple, seed: int) -> np.ndarray:
-    """The seeded uniform phase draw of the starting iterate."""
-    return np.random.default_rng(seed).uniform(-np.pi, np.pi, size=shape)
-
-
 def initial_spectrogram(
     s_hat: np.ndarray, params: StftParams, cfg: GlaConfig
 ) -> ComplexSpectrogram:
     """Starting iterate: the target magnitude under seeded uniform random phase.
 
-    Its origin length is the longest signal the frame count describes.
+    The phases are ``np.random.default_rng(cfg.seed).uniform(-pi, pi)``
+    draws in row-major order.  Its origin length is the longest signal
+    the frame count describes.
     """
     s = _check_target(s_hat, params)
-    X = np.empty(s.shape, dtype=np.complex128)
-    _put_phase(X, _initial_phase(s.shape, cfg.seed), s)
-    return ComplexSpectrogram(X, params, params.max_length_for_frames(s.shape[0]))
+    plan = _StftPlan(params, params.max_length_for_frames(s.shape[0]), s.shape[0])
+    X = _project_rounds(plan, s, 0, 0.0, seed=cfg.seed)
+    return ComplexSpectrogram(X, params, plan.length)
 
 
 def fgla(
@@ -151,6 +147,7 @@ def fgla(
 ) -> Waveform:
     """Fast Griffin-Lim vocoder: magnitude frames in, waveform out.
 
+    Starts from :func:`initial_spectrogram`'s iterate, drawn a chunk at a time.
     Momentum update t_k = P_C(P_mag(C_{k-1})), C_k = t_k + m (t_k - t_{k-1}).
     The first step runs unaccelerated so momentum only ever differences two
     consistent iterates; kicking it off from the raw (inconsistent) init
@@ -165,5 +162,5 @@ def fgla(
     target_length = params.synthesis_length(s.shape[0], target_length)
     plan = _StftPlan(params, params.max_length_for_frames(s.shape[0]), s.shape[0])
     out = _project_rounds(plan, s, cfg.iterations, cfg.momentum,
-                          phase=_initial_phase(s.shape, cfg.seed), synthesize=True, project=True)
+                          seed=cfg.seed, synthesize=True, project=True)
     return Waveform(out[:target_length])

@@ -209,6 +209,17 @@ def test_mels_no_signal_produces_exit_2(tmp_path, capsys):
     assert err.count("2 frames: no signal analyzes to fewer than 4 frames") == 2
 
 
+def test_log_mel_file_produces_exit_2(tmp_path, capsys):
+    # negative values, as a log-mel holds; clamped, they would vocode to silence
+    good = tmp_path / "good.mels"
+    write_mels(good, MelSpectrogram(np.ones((40, 128)), mel_filterbank(22050, 2048, 128)))
+    mels = tmp_path / "log.mels"
+    mels.write_bytes(good.read_bytes()[:20] + np.full((40, 128), -4.0, dtype="<f4").tobytes())
+    assert main(["vocode-gla", str(mels), "-o", str(tmp_path / "g.wav"), "--iters", "2"]) == 2
+    assert not (tmp_path / "g.wav").exists()
+    assert f"{mels}: negative mel values" in capsys.readouterr().err
+
+
 def test_vocode_determinism(tmp_path, capsys):
     wav = tmp_path / "in.wav"
     make_wav(wav)

@@ -219,3 +219,14 @@ def test_mels_rejects_corruption(tmp_path):
     truncated.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="payload"):
         read_mels(truncated)
+
+
+def test_mels_rejects_negative_values(tmp_path):
+    # a log-mel file: read as mel magnitudes it would be all zeros
+    good = tmp_path / "good.mels"
+    write_mels(good, MelSpectrogram(np.ones((40, 128)), default_fb()))
+    log_mel = tmp_path / "log.mels"
+    log_mel.write_bytes(good.read_bytes()[:20] + np.full((40, 128), -4.0, dtype="<f4").tobytes())
+    with pytest.raises(ValueError) as err:
+        read_mels(log_mel)
+    assert str(err.value) == f"{log_mel}: negative mel values"

@@ -166,10 +166,12 @@ def test_gla_distance_is_non_increasing():
 
 def test_initial_spectrogram_default_length():
     rng = np.random.default_rng(3)
-    s_hat = rng.random((20, P.n_bins))
+    n_frames = 3 * dsp.CHUNK_ROWS + 5
+    s_hat = rng.random((n_frames, P.n_bins))
     C = initial_spectrogram(s_hat, P, GlaConfig(seed=8))
-    assert C.origin_length == P.max_length_for_frames(20)
-    # the in-place product has the bits of the plain expression
+    assert C.origin_length == P.max_length_for_frames(n_frames)
+    # the chunk-by-chunk draw and in-place product have the bits of one
+    # whole-array draw and the plain expression
     phase_draw = np.random.default_rng(8).uniform(-np.pi, np.pi, s_hat.shape)
     expected = s_hat * np.exp(1j * phase_draw)
     assert np.array_equal(C.frames.view(np.float64), expected.view(np.float64))
@@ -295,20 +297,35 @@ def test_bursts_match_the_reference_loop(entry, momentum):
     assert np.max(np.abs(got - want)) < 1e-9
 
 
+def traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_burst_memory_stays_within_its_per_frame_bound(monkeypatch):
-    # README, Memory: a momentum burst holds 48.2 kB a frame (here the phase
-    # draw stands in for the caller's target) and about 3 MB of chunk
-    # buffers per thread; a support-wide synthesis array would add 9.6 kB
+    # README, Memory: besides the caller's target, a burst holds 40.0 kB a
+    # frame with momentum and 23.6 kB without, and about 3 MB of chunk
+    # buffers per thread; a whole-array phase draw would add 8.2 kB a frame
     n_frames = 2000
     s_hat = np.random.default_rng(25).random((n_frames, P.n_bins))
     monkeypatch.setattr(dsp, "_cores", lambda: 2)
-    tracemalloc.start()
-    try:
-        fgla(s_hat, P, GlaConfig(iterations=3, momentum=0.99))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n_frames * 50_000 + 2 * 3_000_000
+    for momentum, per_frame in ((0.99, 42_000), (0.0, 26_000)):
+        peak = traced_peak(lambda: fgla(s_hat, P, GlaConfig(iterations=3, momentum=momentum)))
+        assert peak < n_frames * per_frame + 2 * 3_000_000, momentum
+
+
+def test_istft_allocates_only_synthesis_buffers():
+    # the padded signal, its normalizer and the cell sums (8 bytes a sample
+    # each) and one chunk of frames; the analysis frame and magnitude ratio
+    # buffers an istft never uses would add 1.57 MB
+    y = Waveform(np.random.default_rng(26).standard_normal(3 * 22050))
+    C = stft(y, P)
+    peak = traced_peak(lambda: istft(C))
+    assert peak < 3 * 8 * len(y) + dsp.CHUNK_ROWS * P.n_fft * 8 + 500_000
 
 
 def test_fgla_overflowing_target_raises(monkeypatch):
@@ -331,7 +348,7 @@ def test_fgla_scans_frames_past_its_target_length():
     s_hat[-3:] = 1e306
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^spectrogram contains non-finite values$"):
             fgla(s_hat, P, GlaConfig(iterations=4), target_length=3000)
 
 
