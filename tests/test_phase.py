@@ -274,27 +274,43 @@ def reference_rounds(C, s_hat, iterations, momentum):
     return C
 
 
-@pytest.mark.parametrize("entry,momentum", [
-    ("gla", 0.0), ("fgla", 0.0), ("fgla", 0.99), ("gla_correct", 0.0), ("gla_correct", 0.99),
-])
-def test_bursts_match_the_reference_loop(entry, momentum):
-    n = 8000
+def check_reference_loop(entry, momentum, n, iterations):
     y = Waveform(harmonic_signal(170.0, n=n, seed=15))
     s_hat = 1.2 * stft(y, P).magnitude()
-    cfg = GlaConfig(iterations=32, momentum=momentum, seed=15)
+    cfg = GlaConfig(iterations=iterations, momentum=momentum, seed=15)
     C0 = initial_spectrogram(s_hat, P, cfg)
     if entry == "gla":
-        got = gla(C0, s_hat, 32).frames
-        want = reference_rounds(C0, s_hat, 32, 0.0).frames
+        got = gla(C0, s_hat, iterations).frames
+        want = reference_rounds(C0, s_hat, iterations, 0.0).frames
     elif entry == "fgla":
         got = fgla(s_hat, P, cfg, target_length=n).samples
-        final = project_magnitude(reference_rounds(C0, s_hat, 32, momentum), s_hat)
+        final = project_magnitude(reference_rounds(C0, s_hat, iterations, momentum), s_hat)
         want = istft(final, n).samples
     else:
         noise = Waveform(np.random.default_rng(16).standard_normal(n))
-        got = gla_correct(noise, s_hat, 32, P, momentum).samples
-        want = istft(reference_rounds(stft(noise, P), s_hat, 32, momentum), n).samples
-    assert np.max(np.abs(got - want)) < 1e-9
+        got = gla_correct(noise, s_hat, iterations, P, momentum).samples
+        want = istft(reference_rounds(stft(noise, P), s_hat, iterations, momentum), n).samples
+    assert np.array_equal(got, want)
+
+
+BURST_ENTRIES = [
+    ("gla", 0.0), ("fgla", 0.0), ("fgla", 0.99), ("gla_correct", 0.0), ("gla_correct", 0.99),
+]
+
+
+@pytest.mark.parametrize("entry,momentum", BURST_ENTRIES)
+def test_bursts_match_the_reference_loop(entry, momentum):
+    check_reference_loop(entry, momentum, 8000, 32)
+
+
+@pytest.mark.parametrize("cores", (2, 3))
+@pytest.mark.parametrize("entry,momentum", BURST_ENTRIES)
+def test_split_bursts_match_the_reference_loop(entry, momentum, cores, monkeypatch):
+    # the public projections are zero-round transforms, so the reference stays on one thread
+    n = 4 * 22050
+    monkeypatch.setattr(dsp, "_cores", lambda: cores)
+    assert len(dsp._row_blocks(P.frames_for_length(n), P.n_fft)) == cores
+    check_reference_loop(entry, momentum, n, 8)
 
 
 def traced_peak(f):
