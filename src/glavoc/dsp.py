@@ -22,23 +22,26 @@ that analyze back to exactly n frames, which a projection round needs.
 
 Every transform runs in one engine, :func:`_project_rounds`, on a
 :class:`_StftPlan` built per call for one (parameters, signal length)
-pair: the padded signal and its reflect-pad edge map, the window support
-and the squared-window normalizer.  :func:`stft` is its first analysis
-and :func:`istft` its last synthesis, with no rounds between; the
-Griffin-Lim bursts of :mod:`glavoc.phase` run theirs.  A step is a
-spectral row pass, CHUNK_ROWS frame rows at a time through analysis,
-momentum and magnitude projection, then a time-domain overlap-add pass
-that synthesizes frames into normalized samples of the padded signal.
+pair: the window support, the hop-sized output cells, the squared-window
+normalizer and, as far as the call needs them, two padded signals and
+their reflect-pad edge map.  :func:`stft` is its first analysis and
+:func:`istft` its last synthesis, with no rounds between; the
+Griffin-Lim bursts of :mod:`glavoc.phase` run theirs.  A step is one
+pass, CHUNK_ROWS frame rows at a time through analysis, momentum,
+magnitude projection and synthesis, summing each frame's windowed
+pieces into its output cells; the normalized samples go into the padded
+signal the next step reads, and the two signals swap each step.
 Each array is scanned for finiteness once, by the :class:`ComplexSpectrogram`
 or :class:`Waveform` holding it, or by the engine if none does.
 
 A call with rounds splits the rows into contiguous blocks, one per core
-the process may run on while each holds MIN_BLOCK_SAMPLES frame samples,
-and the output samples into as many ranges, one thread each; the threads
-meet at a barrier after each pass, so nothing runs serially between
-rounds, and the output is byte-identical whatever the split.  A call
-with no rounds runs on the calling thread.  Plans are never cached, so
-separate callers share no state.
+the process may run on while each holds MIN_BLOCK_SAMPLES frame samples
+and a window's worth of pieces, one thread each.  A block's thread
+writes the cells its rows finish, and the threads meet at one barrier
+after each pass, so nothing runs serially between rounds, and the
+output is byte-identical whatever the split.  A call with no rounds runs
+on the calling thread.  Plans are never cached, so separate callers
+share no state.
 """
 
 import math
@@ -51,10 +54,11 @@ import numpy as np
 NORMALIZATION_FLOOR = 1e-10
 
 # Frame samples (rows x n_fft) a row block needs before a second thread
-# pays for its two barriers per round.  Measured on 2 cores, per round of
-# a gla_correct burst, two blocks break even with one at about 16k samples
-# each for n_fft 512, 1024 and 2048 alike; at 32k (16 rows of 2048) they
-# take 0.76-0.87 of one block, at 64k 0.62-0.73.
+# pays for its barrier per round.  Measured on 2 cores when a round took
+# two passes and two barriers, per round of a gla_correct burst, two
+# blocks break even with one at about 16k samples each for n_fft 512,
+# 1024 and 2048 alike; at 32k (16 rows of 2048) they take 0.76-0.87 of
+# one block, at 64k 0.62-0.73.
 MIN_BLOCK_SAMPLES = 1 << 15
 
 # Frame rows a pass takes through its stages in one go, so each stage
@@ -253,39 +257,50 @@ class _StftPlan:
     """Geometry and buffers for transforms of one (params, signal length).
 
     ``length`` is the signal length analyzed from, or synthesized to, and
-    ``n_frames`` the spectrogram frame count.  ``padded`` holds the signal
-    from sample ``pad_amount`` on, reflect-padded at both ends and zero
-    past that; analysis reads its frames and synthesis writes it.
+    ``n_frames`` the spectrogram frame count.  ``padded`` holds up to two
+    padded signals, each allocated by :meth:`signal` when a transform
+    first needs it: the signal from sample ``pad_amount`` on,
+    reflect-padded at both ends and zero past that.  Analysis reads frames
+    of one and synthesis writes the other, so a projection round never
+    overwrites samples it still reads.
 
-    A transform is two passes, one per domain.  The row pass works on a
-    slice of frame rows through an n_fft-wide buffer: :meth:`analyze_rows`
-    windows frames of ``padded`` and takes their rfft.  The overlap-add
-    pass, :meth:`overlap_add`, takes the irfft and window of every frame
-    reaching a range of the hop-sized output cells ``cells`` covers, sums
-    them per cell and writes the normalized samples and their reflect-pad
-    mirrors into ``padded``; the ``n_pieces - 1`` frames before a range
-    reach into it.  Disjoint row slices, and disjoint cell ranges, may
-    run on different threads.
+    :meth:`analyze_rows` windows a slice of frame rows of a signal through
+    an n_fft-wide buffer and takes their rfft; :meth:`synthesize_rows`
+    takes the irfft and window of spectrum rows.  :meth:`_cell_sums`
+    adds windowed frames into hop-sized output cells, of which ``cells``
+    covers the output region, and :meth:`write` normalizes finished cells
+    into a signal with their reflect-pad mirrors.  Disjoint row slices,
+    and disjoint cell ranges, may run on different threads.
     """
 
     def __init__(self, p: StftParams, length: int, n_frames: int):
         self.p, self.length, self.n_frames = p, length, n_frames
         left = (p.n_fft - p.win_length) // 2 if p.center_padding else 0
         self.support = slice(left, left + p.win_length)
-        pad = p.pad_amount
-        self.padded = np.empty((n_frames - 1) * p.hop + p.n_fft)
-        self.padded[length + 2 * pad:] = 0.0
-        self.windows = np.lib.stride_tricks.sliding_window_view(
-            self.padded[left:], p.win_length)[::p.hop][:n_frames]
-        # each edge position, ordered by the sample it mirrors
-        edges = np.r_[-pad:0, length:length + pad]
-        src = _reflect(edges, length)
-        order = np.argsort(src, kind="stable")
-        self.edge_src, self.edge_dst = src[order], edges[order] + pad
         # cell c holds padded samples left + c*hop onward; these cover the output region
-        self.cells = slice((pad - left) // p.hop, -(-(pad + length - left) // p.hop))
+        self.cells = slice((p.pad_amount - left) // p.hop,
+                           -(-(p.pad_amount + length - left) // p.hop))
         self.n_pieces = -(-p.win_length // p.hop)
         self.norm = None
+        self.padded, self.windows = [None, None], [None, None]
+        self.edge_src = self.edge_dst = None
+
+    def signal(self, i: int) -> np.ndarray:
+        """Padded signal ``i`` (0 or 1), allocated on first use."""
+        p, pad = self.p, self.p.pad_amount
+        if self.padded[i] is None:
+            x = np.empty((self.n_frames - 1) * p.hop + p.n_fft)
+            x[self.length + 2 * pad:] = 0.0
+            self.padded[i] = x
+            self.windows[i] = np.lib.stride_tricks.sliding_window_view(
+                x[self.support.start:], p.win_length)[::p.hop][:self.n_frames]
+        if self.edge_src is None:
+            # each edge position, ordered by the sample it mirrors
+            edges = np.r_[-pad:0, self.length:self.length + pad]
+            src = _reflect(edges, self.length)
+            order = np.argsort(src, kind="stable")
+            self.edge_src, self.edge_dst = src[order], edges[order] + pad
+        return self.padded[i]
 
     def frame_buffer(self, rows: int) -> np.ndarray:
         """An n_fft-wide buffer of ``rows`` frames, zero outside the window support."""
@@ -316,11 +331,19 @@ class _StftPlan:
         """Add the support-wide frames ``rows`` into the rows of ``acc``, one per cell of ``cells``.
 
         Frame k's j-th hop-wide piece lands in cell k + j; the last piece
-        may be narrower.  Pieces go from the last to the first, so calls on
-        consecutive row slices in increasing order, onto an ``acc`` of
-        zeros, add each sample's terms in increasing frame order from 0.0.
+        may be narrower, and pieces outside ``cells`` are left out.  Pieces
+        go from the last to the first, so calls on consecutive row slices
+        in increasing order, onto an ``acc`` of zeros, add each sample's
+        terms in increasing frame order from 0.0.
         """
         hop, c0, c1 = self.p.hop, cells.start, cells.stop
+        if self.n_pieces > rows.stop - rows.start:    # fewer frames than pieces: frame by frame
+            flat = acc.reshape(-1)
+            for k in range(rows.start, rows.stop):
+                lo, hi = max((c0 - k) * hop, 0), min((c1 - k) * hop, frames.shape[1])
+                if lo < hi:
+                    flat[(k - c0) * hop + lo:(k - c0) * hop + hi] += frames[k - rows.start, lo:hi]
+            return
         for j in range(self.n_pieces - 1, -1, -1):
             k0, k1 = max(c0 - j, rows.start), min(c1 - j, rows.stop)
             if k0 < k1:
@@ -328,49 +351,43 @@ class _StftPlan:
                 acc[k0 + j - c0:k1 + j - c0, :piece.shape[1]] += piece
 
     def pad(self, x: np.ndarray) -> None:
-        """Reflect-pad ``x`` into ``padded``."""
-        pad = self.p.pad_amount
-        self.padded[pad:pad + self.length] = x
-        self.padded[self.edge_dst] = x[self.edge_src]
+        """Reflect-pad ``x`` into padded signal 0."""
+        pad, out = self.p.pad_amount, self.signal(0)
+        out[pad:pad + self.length] = x
+        out[self.edge_dst] = x[self.edge_src]
 
-    def analyze_rows(self, rows: slice, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """One-sided spectrum of the windowed frames ``rows`` of ``padded``, into ``out[rows]``.
+    def analyze_rows(self, i: int, rows: slice, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One-sided spectrum of the windowed frames ``rows`` of padded signal ``i``, into ``out``.
 
         ``buf`` is a :meth:`frame_buffer` of at least that many rows.
         """
         p = self.p
         frames = buf[:rows.stop - rows.start]
-        np.multiply(self.windows[rows], p.window, out=frames[:, self.support])
-        return np.fft.rfft(frames, n=p.n_fft, axis=1, out=out[rows])
+        np.multiply(self.windows[i][rows], p.window, out=frames[:, self.support])
+        return np.fft.rfft(frames, n=p.n_fft, axis=1, out=out)
 
-    def overlap_add(self, X: np.ndarray, cells: slice, buf: np.ndarray, acc: np.ndarray) -> None:
-        """Normalized overlap-add of the frames of ``X`` over ``cells`` into ``padded``.
+    def synthesize_rows(self, C: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """The windowed supports of the irfft of the rows ``C``, computed in ``buf``."""
+        frames = np.fft.irfft(C, n=self.p.n_fft, axis=1, out=buf[:C.shape[0]])
+        support = frames[:, self.support]
+        support *= self.p.window
+        return support
 
-        Takes the irfft and window of each frame reaching the non-empty
-        range through ``buf``, as many rows at a time as it holds, and sums
-        them into ``acc``, one hop-wide row per cell.  Every edge position
-        mirroring one of the samples written is written too.
+    def write(self, acc: np.ndarray, cells: slice, i: int) -> None:
+        """Normalized samples of the cell sums ``acc`` over ``cells`` into padded signal ``i``.
+
+        Every edge position mirroring one of the samples written is written too.
         """
-        p, pad = self.p, self.p.pad_amount
-        acc[...] = 0.0
-        rows = slice(max(cells.start - self.n_pieces + 1, 0), min(cells.stop, self.n_frames))
-        for r in _chunks(rows, buf.shape[0]):
-            frames = np.fft.irfft(X[r], n=p.n_fft, axis=1, out=buf[:r.stop - r.start])
-            support = frames[:, self.support]
-            support *= p.window
-            self._cell_sums(support, r, cells, acc)
+        p, pad, out = self.p, self.p.pad_amount, self.padded[i]
         base = self.support.start + cells.start * p.hop
         lo = max(base, pad)
         hi = min(base + (cells.stop - cells.start) * p.hop, pad + self.length)
+        if lo >= hi:
+            return
         np.divide(acc.reshape(-1)[lo - base:hi - base], self.norm[lo - pad:hi - pad],
-                  out=self.padded[lo:hi])
+                  out=out[lo:hi])
         a, b = np.searchsorted(self.edge_src, (lo - pad, hi - pad))
-        self.padded[self.edge_dst[a:b]] = self.padded[pad + self.edge_src[a:b]]
-
-    @property
-    def output(self) -> np.ndarray:
-        """The synthesized signal: the output region of ``padded``."""
-        return self.padded[self.p.pad_amount:self.p.pad_amount + self.length]
+        out[self.edge_dst[a:b]] = out[pad + self.edge_src[a:b]]
 
 
 def _set_magnitude(X: np.ndarray, s: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
@@ -405,9 +422,16 @@ def _chunks(span: slice, size: int) -> list:
     return [slice(a, min(a + size, span.stop)) for a in range(span.start, span.stop, size)]
 
 
-def _row_blocks(n_frames: int, n_fft: int) -> list:
-    """Contiguous row slices, at most one per core, each of MIN_BLOCK_SAMPLES or more."""
-    return _split(slice(0, n_frames), max(1, min(_cores(), n_frames * n_fft // MIN_BLOCK_SAMPLES)))
+def _row_blocks(n_frames: int, p: StftParams) -> list:
+    """Contiguous row slices, at most one per core, each of MIN_BLOCK_SAMPLES or more.
+
+    Two or more blocks each hold a window's worth of hop-sized pieces in
+    rows or more, so the cells at a block boundary take terms from two
+    blocks only.
+    """
+    n_pieces = -(-p.win_length // p.hop)
+    k = min(_cores(), n_frames * p.n_fft // MIN_BLOCK_SAMPLES, n_frames // n_pieces)
+    return _split(slice(0, n_frames), max(1, k))
 
 
 def _put_phase(X: np.ndarray, phase: np.ndarray, s: np.ndarray) -> None:
@@ -429,93 +453,125 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     only when no round runs and ``project`` is off); or s_hat under the
     phases ``np.random.default_rng(seed).uniform(-pi, pi)`` draws in
     row-major order; or, with neither, the analysis of the plan's padded
-    signal.  ``s_hat`` may then be None if no magnitude is projected.
+    signal 0.  ``s_hat`` may then be None if no magnitude is projected.
     ``synthesize`` returns the signal of the last iterate, after one more
     magnitude projection if ``project``; otherwise the iterate itself
-    comes back.  Raises ValueError if a synthesized iterate built here is not finite.
+    comes back, in ``X`` if given.  Raises ValueError if a synthesized
+    iterate built here is not finite.
 
-    Each step runs two passes on the threads of :func:`_row_blocks`, one
-    row block and one range of output cells each; a call with no rounds
-    runs as one block on the calling thread.  The row pass takes
-    CHUNK_ROWS rows at a time through the end of round k (analysis and
-    momentum, or round 0's phase draw) and the start of round k + 1
-    (magnitude projection); the overlap-add pass synthesizes the frames
-    reaching each cell range, those at a block boundary twice, into the
-    padded signal.  A barrier follows each pass.
+    Each step is one pass on the threads of :func:`_row_blocks`, one row
+    block each; a call with no rounds runs as one block on the calling
+    thread.  The pass takes CHUNK_ROWS rows at a time through the end of
+    round k (analysis and momentum, or round 0's start) and the start of
+    round k + 1 (magnitude projection and synthesis) while they are in
+    cache, and adds each frame's windowed pieces into its block's cell
+    sums.  Between passes only t_{k-1}, kept for momentum, spans the
+    rows; pass k reads padded signal k % 2 and writes the other.  Block
+    i, rows a to b, writes cells a + n_pieces - 1 up to b + n_pieces - 1
+    (block 0 from the first output cell).  The first n_pieces - 1 of its
+    rows also reach the cells block i - 1 writes, so block i keeps their
+    windowed frames and block i - 1 adds them after its own terms: each
+    sample sums its terms in increasing frame order.  One barrier ends
+    each pass that another follows.
     """
-    p = plan.p
+    p, n_pieces = plan.p, plan.n_pieces
     analyze_first = X is None and seed is None
     scan_last = synthesize and X is None
-    if X is None:
+    if X is None and not synthesize:
         X = np.empty((plan.n_frames, p.n_bins), dtype=np.complex128)
-    prev = np.empty_like(X) if momentum and iterations else None
+    prev = (np.empty((plan.n_frames, p.n_bins), dtype=np.complex128)
+            if momentum and iterations > 1 else None)
     # a plain transform stays on its caller's thread, so each of evaluate's
     # jobs holds one set of chunk buffers
-    blocks = _row_blocks(plan.n_frames, p.n_fft) if iterations else [slice(0, plan.n_frames)]
-    cell_blocks = _split(plan.cells, len(blocks))
-    if synthesize or iterations:
+    blocks = _row_blocks(plan.n_frames, p) if iterations else [slice(0, plan.n_frames)]
+    heads = [slice(b.start, b.start + (n_pieces - 1 if i else 0)) for i, b in enumerate(blocks)]
+    cuts = [min(max(h.stop, plan.cells.start), plan.cells.stop) for h in heads]
+    cell_blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [plan.cells.stop])]
+    synthesizes = iterations or synthesize
+    if synthesizes:
         plan.norm = plan._build_norm()
+        plan.signal(1)
+        if iterations:
+            plan.signal(0)
     barrier = threading.Barrier(len(blocks))
+    ready = [threading.Semaphore(0) for _ in blocks]    # block i's kept rows are done
+    kept = [None] * len(blocks)
     finite = [True] * len(blocks)
     errors = [None] * len(blocks)
 
-    def run(i: int) -> np.ndarray:
-        rows, cells = blocks[i], cell_blocks[i]
+    def run(i: int) -> None:
+        rows, head, cells = blocks[i], heads[i], cell_blocks[i]
         m = min(CHUNK_ROWS, rows.stop - rows.start)
         frames = plan.frame_buffer(m) if iterations or analyze_first else None
-        ratio = np.empty((m, X.shape[1])) if iterations or project else None
+        spectra = np.empty((m, p.n_bins), dtype=np.complex128) if iterations or X is None else None
+        if synthesizes:    # a plain analysis needs no synthesis buffers
+            waves = np.empty((m, p.n_fft))
+            # a projection's |C| is spent before the chunk's irfft fills waves
+            ratio = waves.reshape(-1)[:m * p.n_bins].reshape(m, p.n_bins)
+            acc = np.empty((cells.stop - cells.start, p.hop))
+            kept[i] = np.empty((head.stop - head.start, p.win_length))
         if seed is not None:    # one 64-bit draw per entry before the block's rows
             rng = np.random.default_rng(seed)
-            rng.bit_generator.advance(rows.start * X.shape[1])
-        if synthesize or iterations:    # a plain analysis needs no synthesis buffers
-            acc = np.empty((cells.stop - cells.start, p.hop))
-            spectra = np.empty((min(CHUNK_ROWS, len(acc) + plan.n_pieces - 1), p.n_fft))
-        C_k, t_prev = X, prev
+            rng.bit_generator.advance(rows.start * p.n_bins)
         for k in range(iterations + 1):
             last = k == iterations
+            synth = not last or synthesize
+            if synth:
+                acc[...] = 0.0
             for r in _chunks(rows, CHUNK_ROWS):
-                C = C_k
-                if k or analyze_first:    # finish round k: t_k into C_k's rows
-                    t = plan.analyze_rows(r, frames, out=C_k)
-                    if momentum and k:    # C_k in place of t_{k-1}
-                        q = t_prev[r]
-                        if k == 1:
-                            q[...] = t
-                        else:
-                            np.subtract(t, q, out=q)
-                            q *= momentum
-                            q += t
-                            C = t_prev
+                n = r.stop - r.start
+                C = X[r] if k == 0 and X is not None or last and not synthesize else spectra[:n]
+                if k or analyze_first:    # finish round k: t_k
+                    t = plan.analyze_rows(k % 2, r, frames, out=C)
+                    if momentum and k == 1 and not last:
+                        prev[r] = t
+                    elif momentum and k > 1:    # C_k, built in t_{k-1}'s rows
+                        C = prev[r]
+                        np.subtract(t, C, out=C)
+                        C *= momentum
+                        C += t
                 elif seed is not None:
-                    _put_phase(C[r], rng.uniform(-np.pi, np.pi, s_hat[r].shape), s_hat[r])
+                    _put_phase(C, rng.uniform(-np.pi, np.pi, C.shape), s_hat[r])
                 if last and scan_last:
-                    finite[i] &= bool(np.isfinite(C[r]).all())
+                    finite[i] &= bool(np.isfinite(C).all())
                 if not last or project:    # start round k + 1 from C_k
-                    _set_magnitude(C[r], s_hat[r], ratio[:r.stop - r.start])
-            if momentum and k > 1:
-                C_k, t_prev = t_prev, C_k
-            if not last or synthesize:
-                barrier.wait()
-                if len(acc):    # a split may leave a thread no cells
-                    plan.overlap_add(C_k, cells, spectra, acc)
+                    _set_magnitude(C, s_hat[r], ratio[:n])
+                if synth:
+                    support = plan.synthesize_rows(C, waves)
+                    plan._cell_sums(support, r, cells, acc)
+                    if r.start < head.stop:
+                        kept[i][r.start - head.start:r.stop - head.start] = \
+                            support[:head.stop - r.start]
+                        if head.stop <= r.stop:
+                            ready[i].release()
+                if momentum and 1 < k < iterations:    # t_k for the next round
+                    prev[r] = t
+            if synth:
+                if i + 1 < len(blocks) and n_pieces > 1:    # the cells shared with block i + 1
+                    ready[i + 1].acquire()
+                    if barrier.broken:
+                        raise threading.BrokenBarrierError
+                    plan._cell_sums(kept[i + 1], heads[i + 1], cells, acc)
+                plan.write(acc, cells, (k + 1) % 2)
                 if not last:
                     barrier.wait()
-        return C_k
 
-    def guarded(i: int) -> np.ndarray:
+    def guarded(i: int) -> None:
         # numpy's error state is per thread; overflow is left to the
         # finiteness check below
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return run(i)
+                run(i)
         except BaseException as e:    # free the other threads before reporting
             errors[i] = e
             barrier.abort()
+            for sem in ready:
+                sem.release()
 
     threads = [threading.Thread(target=guarded, args=(i,)) for i in range(1, len(blocks))]
     for thread in threads:
         thread.start()
-    result = guarded(0)    # X itself stays bound: a late-starting worker still reads it
+    guarded(0)
     for thread in threads:
         thread.join()
     # the thread that failed first aborted the barrier; the others saw it break
@@ -525,7 +581,10 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
         raise failed[0]
     if not all(finite):
         raise ValueError("spectrogram contains non-finite values")
-    return plan.output if synthesize else result
+    if synthesize:
+        pad = p.pad_amount
+        return plan.padded[(iterations + 1) % 2][pad:pad + plan.length]
+    return X
 
 
 def stft(y: Waveform, p: StftParams) -> ComplexSpectrogram:

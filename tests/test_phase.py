@@ -309,7 +309,7 @@ def test_split_bursts_match_the_reference_loop(entry, momentum, cores, monkeypat
     # the public projections are zero-round transforms, so the reference stays on one thread
     n = 4 * 22050
     monkeypatch.setattr(dsp, "_cores", lambda: cores)
-    assert len(dsp._row_blocks(P.frames_for_length(n), P.n_fft)) == cores
+    assert len(dsp._row_blocks(P.frames_for_length(n), P)) == cores
     check_reference_loop(entry, momentum, n, 8)
 
 
@@ -323,13 +323,13 @@ def traced_peak(f):
 
 
 def test_burst_memory_stays_within_its_per_frame_bound(monkeypatch):
-    # README, Memory: besides the caller's target, a burst holds 40.0 kB a
-    # frame with momentum and 23.6 kB without, and about 3 MB of chunk
-    # buffers per thread; a whole-array phase draw would add 8.2 kB a frame
+    # README, Memory: besides the caller's target, a burst holds 26.0 kB a
+    # frame with momentum and 9.6 kB without, and about 3 MB of chunk
+    # buffers per thread; an iterate-sized array would add 16.4 kB a frame
     n_frames = 2000
     s_hat = np.random.default_rng(25).random((n_frames, P.n_bins))
     monkeypatch.setattr(dsp, "_cores", lambda: 2)
-    for momentum, per_frame in ((0.99, 42_000), (0.0, 26_000)):
+    for momentum, per_frame in ((0.99, 28_000), (0.0, 12_000)):
         peak = traced_peak(lambda: fgla(s_hat, P, GlaConfig(iterations=3, momentum=momentum)))
         assert peak < n_frames * per_frame + 2 * 3_000_000, momentum
 
@@ -344,13 +344,78 @@ def test_istft_allocates_only_synthesis_buffers():
     assert peak < 3 * 8 * len(y) + dsp.CHUNK_ROWS * P.n_fft * 8 + 500_000
 
 
+def test_initial_spectrogram_allocates_only_the_iterate():
+    # the iterate and one chunk of phase draws: no padded signal, edge map
+    # or chunk buffer of a transform
+    s_hat = np.random.default_rng(27).random((P.frames_for_length(3 * 22050), P.n_bins))
+    peak = traced_peak(lambda: initial_spectrogram(s_hat, P, GlaConfig(seed=27)))
+    assert peak < 16 * s_hat.size + 8 * dsp.CHUNK_ROWS * P.n_bins + 300_000
+
+
+@pytest.mark.parametrize("name,cores", [
+    ("default", 1), ("default", 2), ("small_hop_short_window", 3), ("small_hop", 2),
+])
+def test_each_frame_is_synthesized_once_a_pass(name, cores, monkeypatch):
+    # split bursts take no frame's irfft twice, however many pieces a window has
+    p = SPLIT_GEOMETRIES[name]
+    n_frames = p.frames_for_length(1) + cores * max(dsp.MIN_BLOCK_SAMPLES // p.n_fft,
+                                                     -(-p.win_length // p.hop))
+    s_hat = np.random.default_rng(28).random((n_frames, p.n_bins))
+    y = Waveform(np.random.default_rng(28).standard_normal(p.max_length_for_frames(n_frames)))
+    C0 = initial_spectrogram(s_hat, p, GlaConfig(seed=28))
+    monkeypatch.setattr(dsp, "_cores", lambda: cores)
+    assert len(dsp._row_blocks(n_frames, p)) == cores
+    rows = [0]
+    irfft = np.fft.irfft
+
+    def counting(a, *args, **kwargs):
+        rows[0] += a.shape[0]
+        return irfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    for momentum in (0.0, 0.99):
+        rows[0] = 0
+        fgla(s_hat, p, GlaConfig(iterations=3, momentum=momentum))
+        assert rows[0] == 4 * n_frames
+        rows[0] = 0
+        gla_correct(y, s_hat, 3, p, momentum)
+        assert rows[0] == 4 * n_frames
+    rows[0] = 0
+    gla(C0, s_hat, 3)
+    assert rows[0] == 3 * n_frames
+
+
+def test_a_burst_waits_at_a_barrier_once_a_round(monkeypatch):
+    # one full barrier a round for each block's thread, none after the last
+    n_frames = 3 * dsp.MIN_BLOCK_SAMPLES // P.n_fft
+    s_hat = np.random.default_rng(29).random((n_frames, P.n_bins))
+    y = Waveform(np.random.default_rng(29).standard_normal(P.max_length_for_frames(n_frames)))
+    waits = {}
+
+    class CountingBarrier(threading.Barrier):
+        def wait(self, *args, **kwargs):
+            me = threading.get_ident()
+            waits[me] = waits.get(me, 0) + 1
+            return super().wait(*args, **kwargs)
+
+    monkeypatch.setattr(dsp.threading, "Barrier", CountingBarrier)
+    monkeypatch.setattr(dsp, "_cores", lambda: 3)
+    assert len(dsp._row_blocks(n_frames, P)) == 3
+    for run in (lambda: fgla(s_hat, P, GlaConfig(iterations=5, momentum=0.99)),
+                lambda: gla_correct(y, s_hat, 5, P),
+                lambda: gla(initial_spectrogram(s_hat, P, GlaConfig()), s_hat, 5)):
+        waits.clear()
+        run()
+        assert sorted(waits.values()) == [5, 5, 5]
+
+
 def test_fgla_overflowing_target_raises(monkeypatch):
     # only the ValueError, no RuntimeWarning first, on one row block and on two
     n_frames = 2 * dsp.MIN_BLOCK_SAMPLES // P.n_fft
     s_hat = np.full((n_frames, P.n_bins), 1e306)
     for cores in (1, 2):
         monkeypatch.setattr(dsp, "_cores", lambda: cores)
-        assert len(dsp._row_blocks(n_frames, P.n_fft)) == cores
+        assert len(dsp._row_blocks(n_frames, P)) == cores
         for momentum in (0.0, 0.99):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -375,7 +440,7 @@ def test_gla_overflowing_target_raises(monkeypatch):
     s_hat = np.full(C0.frames.shape, 1e306)
     for cores in (1, 2):
         monkeypatch.setattr(dsp, "_cores", lambda: cores)
-        assert len(dsp._row_blocks(n_frames, P.n_fft)) == cores
+        assert len(dsp._row_blocks(n_frames, P)) == cores
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
@@ -435,8 +500,10 @@ SPLIT_GEOMETRIES = {
     "hop_not_dividing_window": StftParams(n_fft=512, hop=96, win_length=400),
     "uncentered_rectangular": StftParams(n_fft=512, hop=100, win_length=300,
                                          window=np.ones(300), center_padding=False),
-    # the rows reading a reflect-pad edge span several blocks at 7 cores
+    # 512 pieces a window, so a block holds 512 rows or more
     "small_hop": StftParams(n_fft=512, hop=1, win_length=512),
+    # the rows reading a reflect-pad edge span several blocks at 7 cores
+    "small_hop_short_window": StftParams(n_fft=512, hop=1, win_length=128),
 }
 
 
@@ -457,16 +524,17 @@ def burst_outputs(p, n_frames, length=None, iterations=3):
 @pytest.mark.parametrize("name", sorted(SPLIT_GEOMETRIES))
 def test_bursts_are_identical_however_the_rows_split(name, monkeypatch):
     p = SPLIT_GEOMETRIES[name]
-    n_frames = max(300, 7 * dsp.MIN_BLOCK_SAMPLES // p.n_fft)
+    n_pieces = -(-p.win_length // p.hop)
+    n_frames = max(300, 7 * dsp.MIN_BLOCK_SAMPLES // p.n_fft, 7 * n_pieces)
     outputs = {}
     for cores in (1, 2, 3, 7):
         monkeypatch.setattr(dsp, "_cores", lambda: cores)
-        blocks = dsp._row_blocks(n_frames, p.n_fft)
+        blocks = dsp._row_blocks(n_frames, p)
         assert len(blocks) == cores
         outputs[cores] = burst_outputs(p, n_frames)
-    if name == "small_hop":
-        # frames 0..255 start in the left reflect edge: 4 of the 7 blocks
-        assert sum(b.start < p.pad_amount // p.hop for b in blocks) == 4
+    if name == "small_hop_short_window":
+        # frames 0..255 start in the left reflect edge: 2 of the 7 blocks
+        assert sum(b.start < p.pad_amount // p.hop for b in blocks) == 2
     for cores in (2, 3, 7):
         for serial, split in zip(outputs[1], outputs[cores]):
             assert np.array_equal(serial, split)
