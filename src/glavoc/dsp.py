@@ -62,10 +62,11 @@ NORMALIZATION_FLOOR = 1e-10
 MIN_BLOCK_SAMPLES = 1 << 15
 
 # Frame rows a pass takes through its stages in one go, so each stage
-# finds the chunk still in cache.
-# On a 60 s clip (4414 frames of 2048; 2 cores, 1 MB L2 each, 32 MB L3),
-# chunks of 16/32/64/128/256 rows gave 25.7/24.3/22.8/24.2/26.3 ms per
-# momentum round.
+# finds the chunk still in cache.  On a 60 s clip (4414 frames of 2048;
+# 2 vCPUs, 2 MB L2, 300 MB L3 per /sys, shared with other tenants), one
+# thread's momentum round of the fused pass took a median of
+# 194/190/193 ms of CPU time at chunks of 32/64/128 rows, 9 runs each,
+# with every size spread over 155-228 ms: none was measurably better.
 CHUNK_ROWS = 64
 
 

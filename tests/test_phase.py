@@ -324,7 +324,7 @@ def traced_peak(f):
 
 def test_burst_memory_stays_within_its_per_frame_bound(monkeypatch):
     # README, Memory: besides the caller's target, a burst holds 26.0 kB a
-    # frame with momentum and 9.6 kB without, and about 3 MB of chunk
+    # frame with momentum and 9.6 kB without, and about 4 MB of chunk
     # buffers per thread; an iterate-sized array would add 16.4 kB a frame
     n_frames = 2000
     s_hat = np.random.default_rng(25).random((n_frames, P.n_bins))
