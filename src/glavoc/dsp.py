@@ -54,11 +54,13 @@ import numpy as np
 NORMALIZATION_FLOOR = 1e-10
 
 # Frame samples (rows x n_fft) a row block needs before a second thread
-# pays for its barrier per round.  Measured on 2 cores when a round took
-# two passes and two barriers, per round of a gla_correct burst, two
-# blocks break even with one at about 16k samples each for n_fft 512,
-# 1024 and 2048 alike; at 32k (16 rows of 2048) they take 0.76-0.87 of
-# one block, at 64k 0.62-0.73.
+# pays for its barrier per round.  Measured on the fused round, 2 vCPUs,
+# wall time per round of a gla_correct burst with each block's thread
+# pinned to its own CPU: two blocks break even with one at about 16k
+# samples each for n_fft 512, 1024 and 2048 alike; at 32k (16 rows of
+# 2048) they take 0.75-0.87 of one block, at 64k 0.63-0.75.  Unpinned,
+# the two threads mostly shared one CPU and two blocks took 1.0-1.16 of
+# one at 32k to 128k.
 MIN_BLOCK_SAMPLES = 1 << 15
 
 # Frame rows a pass takes through its stages in one go, so each stage
@@ -338,13 +340,6 @@ class _StftPlan:
         terms in increasing frame order from 0.0.
         """
         hop, c0, c1 = self.p.hop, cells.start, cells.stop
-        if self.n_pieces > rows.stop - rows.start:    # fewer frames than pieces: frame by frame
-            flat = acc.reshape(-1)
-            for k in range(rows.start, rows.stop):
-                lo, hi = max((c0 - k) * hop, 0), min((c1 - k) * hop, frames.shape[1])
-                if lo < hi:
-                    flat[(k - c0) * hop + lo:(k - c0) * hop + hi] += frames[k - rows.start, lo:hi]
-            return
         for j in range(self.n_pieces - 1, -1, -1):
             k0, k1 = max(c0 - j, rows.start), min(c1 - j, rows.stop)
             if k0 < k1:
@@ -423,16 +418,16 @@ def _chunks(span: slice, size: int) -> list:
     return [slice(a, min(a + size, span.stop)) for a in range(span.start, span.stop, size)]
 
 
-def _row_blocks(n_frames: int, p: StftParams) -> list:
-    """Contiguous row slices, at most one per core, each of MIN_BLOCK_SAMPLES or more.
+def _row_blocks(plan: _StftPlan) -> list:
+    """The plan's rows in contiguous slices, at most one per core, of MIN_BLOCK_SAMPLES or more.
 
     Two or more blocks each hold a window's worth of hop-sized pieces in
     rows or more, so the cells at a block boundary take terms from two
     blocks only.
     """
-    n_pieces = -(-p.win_length // p.hop)
-    k = min(_cores(), n_frames * p.n_fft // MIN_BLOCK_SAMPLES, n_frames // n_pieces)
-    return _split(slice(0, n_frames), max(1, k))
+    n = plan.n_frames
+    k = min(_cores(), n * plan.p.n_fft // MIN_BLOCK_SAMPLES, n // plan.n_pieces)
+    return _split(slice(0, n), max(1, k))
 
 
 def _put_phase(X: np.ndarray, phase: np.ndarray, s: np.ndarray) -> None:
@@ -466,14 +461,16 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     round k (analysis and momentum, or round 0's start) and the start of
     round k + 1 (magnitude projection and synthesis) while they are in
     cache, and adds each frame's windowed pieces into its block's cell
-    sums.  Between passes only t_{k-1}, kept for momentum, spans the
-    rows; pass k reads padded signal k % 2 and writes the other.  Block
-    i, rows a to b, writes cells a + n_pieces - 1 up to b + n_pieces - 1
-    (block 0 from the first output cell).  The first n_pieces - 1 of its
-    rows also reach the cells block i - 1 writes, so block i keeps their
-    windowed frames and block i - 1 adds them after its own terms: each
-    sample sums its terms in increasing frame order.  One barrier ends
-    each pass that another follows.
+    sums; a row whose pieces all fall past the last output cell is
+    analyzed but neither projected nor synthesized.  Between passes only
+    t_{k-1}, kept for momentum, spans the rows; pass k reads padded
+    signal k % 2 and writes the other.  Block i, rows a to b, writes
+    cells a + n_pieces - 1 up to b + n_pieces - 1 (block 0 from the
+    first output cell).  The first n_pieces - 1 of its rows also reach
+    the cells block i - 1 writes, so block i keeps their windowed frames
+    and block i - 1 adds them after its own terms: each sample sums its
+    terms in increasing frame order.  One barrier ends each pass that
+    another follows.
     """
     p, n_pieces = plan.p, plan.n_pieces
     analyze_first = X is None and seed is None
@@ -484,10 +481,13 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
             if momentum and iterations > 1 else None)
     # a plain transform stays on its caller's thread, so each of evaluate's
     # jobs holds one set of chunk buffers
-    blocks = _row_blocks(plan.n_frames, p) if iterations else [slice(0, plan.n_frames)]
-    heads = [slice(b.start, b.start + (n_pieces - 1 if i else 0)) for i, b in enumerate(blocks)]
-    cuts = [min(max(h.stop, plan.cells.start), plan.cells.stop) for h in heads]
-    cell_blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [plan.cells.stop])]
+    blocks = _row_blocks(plan) if iterations else [slice(0, plan.n_frames)]
+    # no piece of a row from cells.stop on lands in an output cell
+    c0, c1 = plan.cells.start, plan.cells.stop
+    heads = [slice(0, 0)] + [slice(b.start, min(b.start + n_pieces - 1, max(b.start, c1)))
+                             for b in blocks[1:]]
+    cuts = [min(max(h.stop, c0), c1) for h in heads]
+    cell_blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [c1])]
     synthesizes = iterations or synthesize
     if synthesizes:
         plan.norm = plan._build_norm()
@@ -502,6 +502,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
 
     def run(i: int) -> None:
         rows, head, cells = blocks[i], heads[i], cell_blocks[i]
+        shared = heads[i + 1] if i + 1 < len(blocks) else slice(0, 0)    # rows of block i + 1
         m = min(CHUNK_ROWS, rows.stop - rows.start)
         frames = plan.frame_buffer(m) if iterations or analyze_first else None
         spectra = np.empty((m, p.n_bins), dtype=np.complex128) if iterations or X is None else None
@@ -531,15 +532,21 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                         np.subtract(t, C, out=C)
                         C *= momentum
                         C += t
+                        if last and not synthesize:    # C_N comes back in X
+                            t[...] = C
+                            C = t
                 elif seed is not None:
                     _put_phase(C, rng.uniform(-np.pi, np.pi, C.shape), s_hat[r])
                 if last and scan_last:
                     finite[i] &= bool(np.isfinite(C).all())
+                if synth:    # the rows from c1 on are neither projected nor synthesized
+                    n = min(n, max(0, c1 - r.start))
+                    C = C[:n]
                 if not last or project:    # start round k + 1 from C_k
-                    _set_magnitude(C, s_hat[r], ratio[:n])
-                if synth:
+                    _set_magnitude(C, s_hat[r.start:r.start + n], ratio[:n])
+                if synth and n:
                     support = plan.synthesize_rows(C, waves)
-                    plan._cell_sums(support, r, cells, acc)
+                    plan._cell_sums(support, slice(r.start, r.start + n), cells, acc)
                     if r.start < head.stop:
                         kept[i][r.start - head.start:r.stop - head.start] = \
                             support[:head.stop - r.start]
@@ -548,11 +555,11 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                 if momentum and 1 < k < iterations:    # t_k for the next round
                     prev[r] = t
             if synth:
-                if i + 1 < len(blocks) and n_pieces > 1:    # the cells shared with block i + 1
+                if shared.start < shared.stop:    # block i + 1's terms in this block's cells
                     ready[i + 1].acquire()
                     if barrier.broken:
                         raise threading.BrokenBarrierError
-                    plan._cell_sums(kept[i + 1], heads[i + 1], cells, acc)
+                    plan._cell_sums(kept[i + 1], shared, cells, acc)
                 plan.write(acc, cells, (k + 1) % 2)
                 if not last:
                     barrier.wait()

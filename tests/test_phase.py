@@ -37,6 +37,11 @@ def consistency_gap(C):
     return np.linalg.norm(C.frames - project_consistent(C).frames)
 
 
+def burst_plan(p, n_frames):
+    """The plan of a burst on ``n_frames`` frames of the longest signal they describe."""
+    return dsp._StftPlan(p, p.max_length_for_frames(n_frames), n_frames)
+
+
 # ------------------------------------------------------- consistency projection
 
 def test_consistent_input_is_fixed_point():
@@ -282,6 +287,11 @@ def check_reference_loop(entry, momentum, n, iterations):
     if entry == "gla":
         got = gla(C0, s_hat, iterations).frames
         want = reference_rounds(C0, s_hat, iterations, 0.0).frames
+    elif entry == "engine":    # the momentum iterate itself, after one more magnitude projection
+        plan = dsp._StftPlan(P, C0.origin_length, C0.n_frames)
+        got = dsp._project_rounds(plan, s_hat, iterations, momentum, X=C0.frames.copy(),
+                                  project=True)
+        want = project_magnitude(reference_rounds(C0, s_hat, iterations, momentum), s_hat).frames
     elif entry == "fgla":
         got = fgla(s_hat, P, cfg, target_length=n).samples
         final = project_magnitude(reference_rounds(C0, s_hat, iterations, momentum), s_hat)
@@ -294,7 +304,8 @@ def check_reference_loop(entry, momentum, n, iterations):
 
 
 BURST_ENTRIES = [
-    ("gla", 0.0), ("fgla", 0.0), ("fgla", 0.99), ("gla_correct", 0.0), ("gla_correct", 0.99),
+    ("gla", 0.0), ("engine", 0.99), ("fgla", 0.0), ("fgla", 0.99), ("gla_correct", 0.0),
+    ("gla_correct", 0.99),
 ]
 
 
@@ -309,7 +320,7 @@ def test_split_bursts_match_the_reference_loop(entry, momentum, cores, monkeypat
     # the public projections are zero-round transforms, so the reference stays on one thread
     n = 4 * 22050
     monkeypatch.setattr(dsp, "_cores", lambda: cores)
-    assert len(dsp._row_blocks(P.frames_for_length(n), P)) == cores
+    assert len(dsp._row_blocks(burst_plan(P, P.frames_for_length(n)))) == cores
     check_reference_loop(entry, momentum, n, 8)
 
 
@@ -358,13 +369,17 @@ def test_initial_spectrogram_allocates_only_the_iterate():
 def test_each_frame_is_synthesized_once_a_pass(name, cores, monkeypatch):
     # split bursts take no frame's irfft twice, however many pieces a window has
     p = SPLIT_GEOMETRIES[name]
-    n_frames = p.frames_for_length(1) + cores * max(dsp.MIN_BLOCK_SAMPLES // p.n_fft,
-                                                     -(-p.win_length // p.hop))
+    fewest = p.frames_for_length(1)
+    n_frames = fewest + cores * max(dsp.MIN_BLOCK_SAMPLES // p.n_fft,
+                                    burst_plan(p, fewest).n_pieces)
+    plan = burst_plan(p, n_frames)
+    # a frame from the last output cell on reaches no output sample
+    live = min(n_frames, plan.cells.stop)
     s_hat = np.random.default_rng(28).random((n_frames, p.n_bins))
     y = Waveform(np.random.default_rng(28).standard_normal(p.max_length_for_frames(n_frames)))
     C0 = initial_spectrogram(s_hat, p, GlaConfig(seed=28))
     monkeypatch.setattr(dsp, "_cores", lambda: cores)
-    assert len(dsp._row_blocks(n_frames, p)) == cores
+    assert len(dsp._row_blocks(plan)) == cores
     rows = [0]
     irfft = np.fft.irfft
 
@@ -376,13 +391,13 @@ def test_each_frame_is_synthesized_once_a_pass(name, cores, monkeypatch):
     for momentum in (0.0, 0.99):
         rows[0] = 0
         fgla(s_hat, p, GlaConfig(iterations=3, momentum=momentum))
-        assert rows[0] == 4 * n_frames
+        assert rows[0] == 4 * live
         rows[0] = 0
         gla_correct(y, s_hat, 3, p, momentum)
-        assert rows[0] == 4 * n_frames
+        assert rows[0] == 4 * live
     rows[0] = 0
     gla(C0, s_hat, 3)
-    assert rows[0] == 3 * n_frames
+    assert rows[0] == 3 * live
 
 
 def test_a_burst_waits_at_a_barrier_once_a_round(monkeypatch):
@@ -400,7 +415,7 @@ def test_a_burst_waits_at_a_barrier_once_a_round(monkeypatch):
 
     monkeypatch.setattr(dsp.threading, "Barrier", CountingBarrier)
     monkeypatch.setattr(dsp, "_cores", lambda: 3)
-    assert len(dsp._row_blocks(n_frames, P)) == 3
+    assert len(dsp._row_blocks(burst_plan(P, n_frames))) == 3
     for run in (lambda: fgla(s_hat, P, GlaConfig(iterations=5, momentum=0.99)),
                 lambda: gla_correct(y, s_hat, 5, P),
                 lambda: gla(initial_spectrogram(s_hat, P, GlaConfig()), s_hat, 5)):
@@ -415,7 +430,7 @@ def test_fgla_overflowing_target_raises(monkeypatch):
     s_hat = np.full((n_frames, P.n_bins), 1e306)
     for cores in (1, 2):
         monkeypatch.setattr(dsp, "_cores", lambda: cores)
-        assert len(dsp._row_blocks(n_frames, P)) == cores
+        assert len(dsp._row_blocks(burst_plan(P, n_frames))) == cores
         for momentum in (0.0, 0.99):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -440,7 +455,7 @@ def test_gla_overflowing_target_raises(monkeypatch):
     s_hat = np.full(C0.frames.shape, 1e306)
     for cores in (1, 2):
         monkeypatch.setattr(dsp, "_cores", lambda: cores)
-        assert len(dsp._row_blocks(n_frames, P)) == cores
+        assert len(dsp._row_blocks(burst_plan(P, n_frames))) == cores
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
@@ -524,12 +539,12 @@ def burst_outputs(p, n_frames, length=None, iterations=3):
 @pytest.mark.parametrize("name", sorted(SPLIT_GEOMETRIES))
 def test_bursts_are_identical_however_the_rows_split(name, monkeypatch):
     p = SPLIT_GEOMETRIES[name]
-    n_pieces = -(-p.win_length // p.hop)
+    n_pieces = burst_plan(p, p.frames_for_length(1)).n_pieces
     n_frames = max(300, 7 * dsp.MIN_BLOCK_SAMPLES // p.n_fft, 7 * n_pieces)
     outputs = {}
     for cores in (1, 2, 3, 7):
         monkeypatch.setattr(dsp, "_cores", lambda: cores)
-        blocks = dsp._row_blocks(n_frames, p)
+        blocks = dsp._row_blocks(burst_plan(p, n_frames))
         assert len(blocks) == cores
         outputs[cores] = burst_outputs(p, n_frames)
     if name == "small_hop_short_window":

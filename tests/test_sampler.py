@@ -84,7 +84,7 @@ def test_correction_overflowing_target_raises(monkeypatch):
     assert S_HAT.shape[0] >= 2 * dsp.MIN_BLOCK_SAMPLES // P.n_fft
     for cores in (1, 2):
         monkeypatch.setattr(dsp, "_cores", lambda: cores)
-        assert len(dsp._row_blocks(S_HAT.shape[0], P)) == cores
+        assert len(dsp._row_blocks(dsp._StftPlan(P, L, S_HAT.shape[0]))) == cores
         for momentum in (0.0, 0.9):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
