@@ -43,9 +43,12 @@ def write_wav(path, y: Waveform, spec: WavSpec) -> None:
 
     PCM16 clamps to [-1, 1 - 2^-15] and rounds half away from zero;
     float32 stores the samples verbatim.  Raises ValueError, before the
-    file is opened, when a sample overflows float32.
+    file is opened, when there are no samples, which :func:`read_wav`
+    refuses, or when a sample overflows float32.
     """
     x = y.samples
+    if x.shape[0] == 0:
+        raise ValueError(f"{path}: no samples to write")
     if spec.bit_depth == "pcm16":
         clamped = np.clip(x, -1.0, 32767.0 / PCM16_SCALE) * PCM16_SCALE
         ints = np.sign(clamped) * np.floor(np.abs(clamped) + 0.5)

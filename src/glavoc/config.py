@@ -47,6 +47,13 @@ class RunConfig:
     wav_format: str = "float32"
 
     def __post_init__(self):
+        # from_text reads a value up to a line break or '#', stripped, so
+        # the echo of any other string would not reproduce the run
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, str) and ("#" in v or len(v.splitlines()) > 1 or v != v.strip()):
+                raise ValueError(f"{f.name} {v!r} cannot be written to a config file: "
+                                 "it holds '#', a line break or surrounding whitespace")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if not 0.0 < self.lsd_floor < math.inf:
@@ -131,8 +138,7 @@ class RunConfig:
 
 
 def _parse_value(ftype, key, val, lineno):
-    # dataclass field types arrive as strings under PEP 563 semantics
-    name = ftype if isinstance(ftype, str) else ftype.__name__
+    name = ftype.__name__
     try:
         if name == "bool":
             if val not in ("true", "false"):

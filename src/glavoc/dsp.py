@@ -26,11 +26,11 @@ pair: the window support, the hop-sized output cells, the squared-window
 normalizer and, as far as the call needs them, two padded signals and
 their reflect-pad edge map.  :func:`stft` is its first analysis and
 :func:`istft` its last synthesis, with no rounds between; the
-Griffin-Lim bursts of :mod:`glavoc.phase` run theirs.  A step is one
-pass, CHUNK_ROWS frame rows at a time through analysis, momentum,
-magnitude projection and synthesis, summing each frame's windowed
-pieces into its output cells; the normalized samples go into the padded
-signal the next step reads, and the two signals swap each step.
+Griffin-Lim bursts of :mod:`glavoc.phase` run theirs to a signal.  A
+step is one pass, CHUNK_ROWS frame rows at a time through analysis,
+momentum, magnitude projection and synthesis, summing each frame's
+windowed pieces into its output cells; the normalized samples go into
+the padded signal the next step reads, and the two signals swap each step.
 Each array is scanned for finiteness once, by the :class:`ComplexSpectrogram`
 or :class:`Waveform` holding it, or by the engine if none does.
 
@@ -451,9 +451,10 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     row-major order; or, with neither, the analysis of the plan's padded
     signal 0.  ``s_hat`` may then be None if no magnitude is projected.
     ``synthesize`` returns the signal of the last iterate, after one more
-    magnitude projection if ``project``; otherwise the iterate itself
-    comes back, in ``X`` if given.  Raises ValueError if a synthesized
-    iterate built here is not finite.
+    magnitude projection if ``project``, as every call with rounds does;
+    only zero-round :func:`stft` and ``initial_spectrogram`` return the
+    iterate, in ``X``.  Raises ValueError if a synthesized iterate built
+    here is not finite.
 
     Each step is one pass on the threads of :func:`_row_blocks`, one row
     block each; a call with no rounds runs as one block on the calling
@@ -522,7 +523,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                 acc[...] = 0.0
             for r in _chunks(rows, CHUNK_ROWS):
                 n = r.stop - r.start
-                C = X[r] if k == 0 and X is not None or last and not synthesize else spectra[:n]
+                C = X[r] if k == 0 and X is not None else spectra[:n]
                 if k or analyze_first:    # finish round k: t_k
                     t = plan.analyze_rows(k % 2, r, frames, out=C)
                     if momentum and k == 1 and not last:
@@ -532,9 +533,6 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                         np.subtract(t, C, out=C)
                         C *= momentum
                         C += t
-                        if last and not synthesize:    # C_N comes back in X
-                            t[...] = C
-                            C = t
                 elif seed is not None:
                     _put_phase(C, rng.uniform(-np.pi, np.pi, C.shape), s_hat[r])
                 if last and scan_last:

@@ -9,10 +9,10 @@ and inside the corrected sampler's early steps.
 Every burst of rounds, from :func:`gla`, :func:`fgla` and the sampler's
 correction :func:`gla_correct`, runs on the transforms' own engine,
 :func:`glavoc.dsp._project_rounds`, from the starting iterate (or the
-first analysis) to the last iterate (or the synthesized signal).  Inputs
-are validated here, at the public entry points, and nothing is
-revalidated per round.  The :class:`ComplexSpectrogram` that :func:`gla`
-returns checks its frames for overflow; for :func:`fgla` and
+first analysis) to a signal, which :func:`gla` analyzes with :func:`stft`.
+Inputs are validated at the public entry points, never per round.  The
+:class:`Waveform` and :class:`ComplexSpectrogram` of :func:`gla` check
+its signal and frames for overflow; for :func:`fgla` and
 :func:`gla_correct`, whose last iterate no such type holds, the engine
 checks it before synthesis.
 """
@@ -92,15 +92,15 @@ def project_magnitude(C: ComplexSpectrogram, s_hat: np.ndarray) -> ComplexSpectr
 
 
 def gla(C0: ComplexSpectrogram, s_hat: np.ndarray, iterations: int) -> ComplexSpectrogram:
-    """Plain Griffin-Lim: K composed projections from C0."""
+    """Plain Griffin-Lim: K composed projections from C0, the last analysis by :func:`stft`."""
     _check_rounds(iterations, 0.0)
     s = _check_magnitude(s_hat, C0.n_frames, C0.params.n_bins)
     if iterations == 0:
         return C0
     C0.params.check_length(C0.n_frames, C0.origin_length)
     plan = _StftPlan(C0.params, C0.origin_length, C0.n_frames)
-    X = _project_rounds(plan, s, iterations, 0.0, X=C0.frames.copy())
-    return ComplexSpectrogram(X, C0.params, C0.origin_length)
+    return stft(Waveform(_project_rounds(plan, s, iterations - 1, 0.0, X=C0.frames.copy(),
+                                         synthesize=True, project=True)), C0.params)
 
 
 def gla_correct(

@@ -38,6 +38,15 @@ def test_float32_overflow_is_refused_before_writing(tmp_path):
     assert read_wav(path)[0].samples[0] == 32767.0 / 32768.0
 
 
+def test_an_empty_signal_is_refused_before_writing(tmp_path):
+    # read_wav refuses an empty data chunk, so no such file is written
+    path = tmp_path / "f.wav"
+    for bit_depth in ("float32", "pcm16"):
+        with pytest.raises(ValueError, match=f"{path}: no samples to write"):
+            write_wav(path, Waveform(np.zeros(0)), WavSpec(22050, bit_depth))
+        assert not path.exists()
+
+
 def pcm16_reference(x: float) -> float:
     """The documented rule, one sample at a time: clamp, scale, round half away."""
     c = min(max(x, -1.0), 32767.0 / 32768.0) * 32768.0

@@ -375,6 +375,25 @@ def test_config_echo_reproduces_run(tmp_path, capsys):
     assert RunConfig.from_text(body) == RunConfig()
 
 
+def test_config_refuses_strings_its_echo_cannot_carry(tmp_path, capsys):
+    # the echo would read this schedule back as everything before the '#'
+    betas = tmp_path / "my#sched.txt"
+    betas.write_text("\n".join(["1e-4", "1e-3", "1e-2", "0.05", "0.2", "0.5"]) + "\n")
+    wav = tmp_path / "in.wav"
+    make_wav(wav)
+    mels = tmp_path / "in.mels"
+    assert main(["analyze", str(wav), "-o", str(mels)]) == 0
+    assert main(["vocode", str(mels), "-o", str(tmp_path / "o.wav"), "--predictor",
+                 "zero", "--schedule", str(betas)]) == 1
+    assert f"glavoc: error: schedule {str(betas)!r} cannot be written" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+    for key, value in (("schedule", "wg6\n"), ("schedule", "wg6\rwg50"),
+                       ("noise", " white"), ("wav_format", "float32\t"),
+                       ("schedule", "a\x0bb")):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            RunConfig(**{key: value})
+
+
 def test_config_file_is_validated_with_its_overrides(tmp_path):
     # nine corrected steps exceed wg6 but fit the wg50 the flag selects
     custom = tmp_path / "c.cfg"
