@@ -174,8 +174,8 @@ def cmd_analyze(args, cfg) -> int:
 
 
 def cmd_vocode_gla(args, cfg) -> int:
-    mel = _load_mel(args.mels, cfg)
-    s_hat = pseudo_inverse_magnitude(mel)
+    # the mel is freed before the burst; only its lift is read
+    s_hat = pseudo_inverse_magnitude(_load_mel(args.mels, cfg))
     out = fgla(s_hat, cfg.stft_params(), cfg.gla_config())
     write_wav(args.output, out, cfg.wav_spec())
     return 0
@@ -229,7 +229,10 @@ def _evaluate_pair(name, ref_dir, est_dir, cfg):
     est = _read_wav_checked(est_dir / name, cfg)
     n = min(len(ref), len(est))
     ref, est = Waveform(ref.samples[:n]), Waveform(est.samples[:n])
-    return name, _scores(ref, stft(ref, cfg.stft_params()).magnitude(), est, cfg)[0]
+    try:
+        return name, _scores(ref, stft(ref, cfg.stft_params()).magnitude(), est, cfg)[0]
+    except ValueError as exc:    # a metric undefined on this pair, such as a silent reference
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def cmd_evaluate(args, cfg) -> int:

@@ -23,14 +23,17 @@ that analyze back to exactly n frames, which a projection round needs.
 Every transform runs in one engine, :func:`_project_rounds`, on a
 :class:`_StftPlan` built per call for one (parameters, signal length)
 pair: the window support, the hop-sized output cells, the squared-window
-normalizer and, as far as the call needs them, two padded signals and
-their reflect-pad edge map.  :func:`stft` is its first analysis and
-:func:`istft` its last synthesis, with no rounds between; the
-Griffin-Lim bursts of :mod:`glavoc.phase` run theirs to a signal.  A
-step is one pass, CHUNK_ROWS frame rows at a time through analysis,
-momentum, magnitude projection and synthesis, summing each frame's
-windowed pieces into its output cells; the normalized samples go into
-the padded signal the next step reads, and the two signals swap each step.
+normalizer, one table per cell class, and, as far as the call needs
+them, one padded signal and its reflect-pad edge map.  :func:`stft` is
+its first analysis and :func:`istft` its last synthesis, with no rounds
+between; the Griffin-Lim bursts of :mod:`glavoc.phase` run theirs to a
+signal.  A step is one pass, CHUNK_ROWS frame rows at a time through
+analysis, momentum, magnitude projection and synthesis, summing each
+frame's windowed pieces into its output cells.  A frame reads only the
+cells it adds to, so once a chunk's rows are done the cells below them
+are finished, and their normalized samples go straight back into the
+padded signal the step reads.  The reflect-pad edges are refreshed
+from them once a round, after every cell is written.
 Each array is scanned for finiteness once, by the :class:`ComplexSpectrogram`
 or :class:`Waveform` holding it, or by the engine if none does.
 
@@ -260,20 +263,23 @@ class _StftPlan:
     """Geometry and buffers for transforms of one (params, signal length).
 
     ``length`` is the signal length analyzed from, or synthesized to, and
-    ``n_frames`` the spectrogram frame count.  ``padded`` holds up to two
-    padded signals, each allocated by :meth:`signal` when a transform
-    first needs it: the signal from sample ``pad_amount`` on,
-    reflect-padded at both ends and zero past that.  Analysis reads frames
-    of one and synthesis writes the other, so a projection round never
-    overwrites samples it still reads.
+    ``n_frames`` the spectrogram frame count.  ``sig`` is the one padded
+    signal, allocated by :meth:`signal` when a transform first needs it:
+    the signal from sample ``pad_amount`` on, reflect-padded at both ends
+    and zero past that.  Analysis reads its frames, and synthesis writes
+    finished samples back into it in place.
 
-    :meth:`analyze_rows` windows a slice of frame rows of a signal through
-    an n_fft-wide buffer and takes their rfft; :meth:`synthesize_rows`
-    takes the irfft and window of spectrum rows.  :meth:`_cell_sums`
-    adds windowed frames into hop-sized output cells, of which ``cells``
-    covers the output region, and :meth:`write` normalizes finished cells
-    into a signal with their reflect-pad mirrors.  Disjoint row slices,
-    and disjoint cell ranges, may run on different threads.
+    :meth:`analyze_rows` windows a slice of frame rows of the signal
+    through an n_fft-wide buffer and takes their rfft;
+    :meth:`synthesize_rows` takes the irfft and window of spectrum rows.
+    :meth:`_cell_sums` adds windowed frames into hop-sized output cells,
+    of which ``cells`` covers the output region, and :meth:`write`
+    normalizes finished cells into the output region.  Row r's window
+    spans cells r to r + n_pieces - 1, so cell r is finished once the
+    rows up to r are, and no later row reads it.  The reflect-pad edges
+    are read by rows far from the samples they mirror, so only
+    :meth:`pad` and :meth:`refresh_edges` write them.  Disjoint row
+    slices, and disjoint cell ranges, may run on different threads.
     """
 
     def __init__(self, p: StftParams, length: int, n_frames: int):
@@ -285,25 +291,18 @@ class _StftPlan:
                            -(-(p.pad_amount + length - left) // p.hop))
         self.n_pieces = -(-p.win_length // p.hop)
         self.norm = None
-        self.padded, self.windows = [None, None], [None, None]
+        self.sig = self.windows = None
         self.edge_src = self.edge_dst = None
 
-    def signal(self, i: int) -> np.ndarray:
-        """Padded signal ``i`` (0 or 1), allocated on first use."""
-        p, pad = self.p, self.p.pad_amount
-        if self.padded[i] is None:
-            x = np.empty((self.n_frames - 1) * p.hop + p.n_fft)
-            x[self.length + 2 * pad:] = 0.0
-            self.padded[i] = x
-            self.windows[i] = np.lib.stride_tricks.sliding_window_view(
-                x[self.support.start:], p.win_length)[::p.hop][:self.n_frames]
-        if self.edge_src is None:
-            # each edge position, ordered by the sample it mirrors
-            edges = np.r_[-pad:0, self.length:self.length + pad]
-            src = _reflect(edges, self.length)
-            order = np.argsort(src, kind="stable")
-            self.edge_src, self.edge_dst = src[order], edges[order] + pad
-        return self.padded[i]
+    def signal(self) -> np.ndarray:
+        """The padded signal, allocated on first use."""
+        p = self.p
+        if self.sig is None:
+            self.sig = np.empty((self.n_frames - 1) * p.hop + p.n_fft)
+            self.sig[self.length + 2 * p.pad_amount:] = 0.0
+            self.windows = np.lib.stride_tricks.sliding_window_view(
+                self.sig[self.support.start:], p.win_length)[::p.hop][:self.n_frames]
+        return self.sig
 
     def frame_buffer(self, rows: int) -> np.ndarray:
         """An n_fft-wide buffer of ``rows`` frames, zero outside the window support."""
@@ -312,23 +311,44 @@ class _StftPlan:
         buf[:, self.support.stop:] = 0.0
         return buf
 
-    def _build_norm(self) -> np.ndarray:
-        """Squared-window overlap-add sum over the output region."""
-        p = self.p
+    def _build_norm(self) -> list:
+        """Squared-window overlap-add sums over the output region, one table per cell class.
+
+        A cell sums the pieces of the frames among the n_pieces that reach
+        it.  The interior cells, from n_pieces - 1 to the last frame, take
+        all of them and share one hop of sums; the head and tail cells,
+        and the two the region's ends cut, keep one sum a sample.  Returns
+        (start, stop, sums) spans of padded sample positions, the
+        interior's sums of shape (1, hop).  Raises ValueError if a sum in
+        the region is below NORMALIZATION_FLOOR.
+        """
+        p, left = self.p, self.support.start
+        c0, c1 = self.cells.start, self.cells.stop
+        lo, hi = p.pad_amount, p.pad_amount + self.length
         wsq = p.window * p.window
-        acc = np.zeros((self.cells.stop - self.cells.start, p.hop))
-        self._cell_sums(np.broadcast_to(wsq, (self.n_frames, wsq.shape[0])),
-                        slice(0, self.n_frames), self.cells, acc)
-        first = p.pad_amount - self.support.start - self.cells.start * p.hop
-        norm = acc.reshape(-1)[first:first + self.length]
-        if norm.min() < NORMALIZATION_FLOOR:
+        frames = np.broadcast_to(wsq, (self.n_frames, wsq.shape[0]))
+
+        def sums(cells):
+            acc = np.zeros((cells.stop - cells.start, p.hop))
+            self._cell_sums(frames, slice(0, self.n_frames), cells, acc)
+            return acc
+
+        ia, ib = max(c0 + 1, self.n_pieces - 1), min(c1 - 1, self.n_frames)
+        if ia >= ib:    # no interior cell
+            ia = ib = c1
+        base, h, t = left + c0 * p.hop, min(left + ia * p.hop, hi), left + ib * p.hop
+        spans = [(lo, h, sums(slice(c0, ia)).reshape(-1)[lo - base:h - base])]
+        if ia < ib:
+            spans += [(h, t, sums(slice(ia, ia + 1))),
+                      (t, hi, sums(slice(ib, c1)).reshape(-1)[:hi - t])]
+        if min(norm.min() for _, _, norm in spans) < NORMALIZATION_FLOOR:
             raise ValueError(
                 "degenerate synthesis normalization: squared-window sum below "
                 f"{NORMALIZATION_FLOOR} inside the output region (n_fft {p.n_fft}, "
                 f"hop {p.hop}, win_length {p.win_length}, "
                 f"center {'on' if p.center_padding else 'off'})"
             )
-        return norm
+        return spans
 
     def _cell_sums(self, frames: np.ndarray, rows: slice, cells: slice, acc: np.ndarray) -> None:
         """Add the support-wide frames ``rows`` into the rows of ``acc``, one per cell of ``cells``.
@@ -347,19 +367,27 @@ class _StftPlan:
                 acc[k0 + j - c0:k1 + j - c0, :piece.shape[1]] += piece
 
     def pad(self, x: np.ndarray) -> None:
-        """Reflect-pad ``x`` into padded signal 0."""
-        pad, out = self.p.pad_amount, self.signal(0)
-        out[pad:pad + self.length] = x
-        out[self.edge_dst] = x[self.edge_src]
+        """Reflect-pad ``x`` into the padded signal."""
+        pad = self.p.pad_amount
+        self.signal()[pad:pad + self.length] = x
+        self.refresh_edges()
 
-    def analyze_rows(self, i: int, rows: slice, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """One-sided spectrum of the windowed frames ``rows`` of padded signal ``i``, into ``out``.
+    def refresh_edges(self) -> None:
+        """Copy each reflect-pad edge position from the sample it mirrors."""
+        pad = self.p.pad_amount
+        if self.edge_src is None:
+            edges = np.r_[-pad:0, self.length:self.length + pad]
+            self.edge_src, self.edge_dst = _reflect(edges, self.length) + pad, edges + pad
+        self.sig[self.edge_dst] = self.sig[self.edge_src]
+
+    def analyze_rows(self, rows: slice, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One-sided spectrum of the windowed frames ``rows`` of the padded signal, into ``out``.
 
         ``buf`` is a :meth:`frame_buffer` of at least that many rows.
         """
         p = self.p
         frames = buf[:rows.stop - rows.start]
-        np.multiply(self.windows[i][rows], p.window, out=frames[:, self.support])
+        np.multiply(self.windows[rows], p.window, out=frames[:, self.support])
         return np.fft.rfft(frames, n=p.n_fft, axis=1, out=out)
 
     def synthesize_rows(self, C: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -369,21 +397,21 @@ class _StftPlan:
         support *= self.p.window
         return support
 
-    def write(self, acc: np.ndarray, cells: slice, i: int) -> None:
-        """Normalized samples of the cell sums ``acc`` over ``cells`` into padded signal ``i``.
-
-        Every edge position mirroring one of the samples written is written too.
-        """
-        p, pad, out = self.p, self.p.pad_amount, self.padded[i]
-        base = self.support.start + cells.start * p.hop
-        lo = max(base, pad)
-        hi = min(base + (cells.stop - cells.start) * p.hop, pad + self.length)
-        if lo >= hi:
-            return
-        np.divide(acc.reshape(-1)[lo - base:hi - base], self.norm[lo - pad:hi - pad],
-                  out=out[lo:hi])
-        a, b = np.searchsorted(self.edge_src, (lo - pad, hi - pad))
-        out[self.edge_dst[a:b]] = out[pad + self.edge_src[a:b]]
+    def write(self, acc: np.ndarray, cells: slice) -> None:
+        """Normalized samples of the cell sums ``acc`` over ``cells`` into the output region."""
+        hop = self.p.hop
+        base = self.support.start + cells.start * hop
+        stop = base + (cells.stop - cells.start) * hop
+        for a, b, norm in self.norm:
+            lo, hi = max(a, base), min(b, stop)
+            if lo >= hi:
+                continue
+            src, out = acc.reshape(-1)[lo - base:hi - base], self.sig[lo:hi]
+            if norm.ndim == 2:    # interior cells, whole ones, under one hop of sums
+                src, out = src.reshape(-1, hop), out.reshape(-1, hop)
+            else:
+                norm = norm[lo - a:hi - a]
+            np.divide(src, norm, out=out)
 
 
 def _set_magnitude(X: np.ndarray, s: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
@@ -449,7 +477,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     only when no round runs and ``project`` is off); or s_hat under the
     phases ``np.random.default_rng(seed).uniform(-pi, pi)`` draws in
     row-major order; or, with neither, the analysis of the plan's padded
-    signal 0.  ``s_hat`` may then be None if no magnitude is projected.
+    signal.  ``s_hat`` may then be None if no magnitude is projected.
     ``synthesize`` returns the signal of the last iterate, after one more
     magnitude projection if ``project``, as every call with rounds does;
     only zero-round :func:`stft` and ``initial_spectrogram`` return the
@@ -464,14 +492,18 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     cache, and adds each frame's windowed pieces into its block's cell
     sums; a row whose pieces all fall past the last output cell is
     analyzed but neither projected nor synthesized.  Between passes only
-    t_{k-1}, kept for momentum, spans the rows; pass k reads padded
-    signal k % 2 and writes the other.  Block i, rows a to b, writes
-    cells a + n_pieces - 1 up to b + n_pieces - 1 (block 0 from the
-    first output cell).  The first n_pieces - 1 of its rows also reach
-    the cells block i - 1 writes, so block i keeps their windowed frames
-    and block i - 1 adds them after its own terms: each sample sums its
-    terms in increasing frame order.  One barrier ends each pass that
-    another follows.
+    t_{k-1}, kept for momentum, spans the rows.  Block i, rows a to b,
+    writes cells a + n_pieces - 1 up to b + n_pieces - 1 (block 0 from
+    the first output cell) into the one padded signal, in place: after
+    a chunk of rows r0 to r1 it writes its cells below r1, whose readers
+    are all analyzed, and carries the partial sums of the next
+    n_pieces - 1 cells over in a rolling accumulator.  The first
+    n_pieces - 1 of its rows also reach the cells block i - 1 writes, so
+    block i keeps their windowed frames and block i - 1 adds them after
+    its own terms, at the end of the pass: each sample sums its terms in
+    increasing frame order.  One barrier ends each pass that another
+    follows, and its action refreshes the reflect-pad edges once every
+    block has written.
     """
     p, n_pieces = plan.p, plan.n_pieces
     analyze_first = X is None and seed is None
@@ -492,10 +524,9 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     synthesizes = iterations or synthesize
     if synthesizes:
         plan.norm = plan._build_norm()
-        plan.signal(1)
-        if iterations:
-            plan.signal(0)
-    barrier = threading.Barrier(len(blocks))
+        plan.signal()
+    # only a pass that another follows waits, so the last one writes no edge
+    barrier = threading.Barrier(len(blocks), action=plan.refresh_edges)
     ready = [threading.Semaphore(0) for _ in blocks]    # block i's kept rows are done
     kept = [None] * len(blocks)
     finite = [True] * len(blocks)
@@ -511,8 +542,19 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
             waves = np.empty((m, p.n_fft))
             # a projection's |C| is spent before the chunk's irfft fills waves
             ratio = waves.reshape(-1)[:m * p.n_bins].reshape(m, p.n_bins)
-            acc = np.empty((cells.stop - cells.start, p.hop))
+            acc = np.empty((m + n_pieces - 1, p.hop))    # the cells from `done` on
             kept[i] = np.empty((head.stop - head.start, p.win_length))
+
+        def finish(stop: int) -> None:
+            # write the cells from `done` to `stop`; the later ones move up in acc
+            nonlocal done
+            n = stop - done
+            if n > 0:
+                plan.write(acc[:n], slice(done, stop))
+                acc[:-n] = acc[n:]
+                acc[-n:] = 0.0
+                done = stop
+
         if seed is not None:    # one 64-bit draw per entry before the block's rows
             rng = np.random.default_rng(seed)
             rng.bit_generator.advance(rows.start * p.n_bins)
@@ -521,11 +563,12 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
             synth = not last or synthesize
             if synth:
                 acc[...] = 0.0
+                done = cells.start
             for r in _chunks(rows, CHUNK_ROWS):
                 n = r.stop - r.start
                 C = X[r] if k == 0 and X is not None else spectra[:n]
                 if k or analyze_first:    # finish round k: t_k
-                    t = plan.analyze_rows(k % 2, r, frames, out=C)
+                    t = plan.analyze_rows(r, frames, out=C)
                     if momentum and k == 1 and not last:
                         prev[r] = t
                     elif momentum and k > 1:    # C_k, built in t_{k-1}'s rows
@@ -544,7 +587,8 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                     _set_magnitude(C, s_hat[r.start:r.start + n], ratio[:n])
                 if synth and n:
                     support = plan.synthesize_rows(C, waves)
-                    plan._cell_sums(support, slice(r.start, r.start + n), cells, acc)
+                    plan._cell_sums(support, slice(r.start, r.start + n),
+                                    slice(done, cells.stop), acc)
                     if r.start < head.stop:
                         kept[i][r.start - head.start:r.stop - head.start] = \
                             support[:head.stop - r.start]
@@ -552,13 +596,15 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                             ready[i].release()
                 if momentum and 1 < k < iterations:    # t_k for the next round
                     prev[r] = t
+                if synth:    # every row reading a cell below r.stop is analyzed
+                    finish(min(r.stop, cells.stop))
             if synth:
                 if shared.start < shared.stop:    # block i + 1's terms in this block's cells
                     ready[i + 1].acquire()
                     if barrier.broken:
                         raise threading.BrokenBarrierError
-                    plan._cell_sums(kept[i + 1], shared, cells, acc)
-                plan.write(acc, cells, (k + 1) % 2)
+                    plan._cell_sums(kept[i + 1], shared, slice(done, cells.stop), acc)
+                finish(cells.stop)
                 if not last:
                     barrier.wait()
 
@@ -588,8 +634,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     if not all(finite):
         raise ValueError("spectrogram contains non-finite values")
     if synthesize:
-        pad = p.pad_amount
-        return plan.padded[(iterations + 1) % 2][pad:pad + plan.length]
+        return plan.sig[p.pad_amount:p.pad_amount + plan.length]
     return X
 
 

@@ -162,7 +162,7 @@ def pseudo_inverse_magnitude(mel: MelSpectrogram) -> np.ndarray:
     clamped frames feed the fixed-magnitude projection directly.
     """
     lifted = mel.frames @ mel.filterbank.pseudo_inverse.T
-    return np.maximum(lifted, 0.0)
+    return np.maximum(lifted, 0.0, out=lifted)
 
 
 def write_mels(path, mel: MelSpectrogram) -> None:

@@ -283,6 +283,20 @@ def test_evaluate_pairs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_evaluate_names_the_pair_whose_metrics_fail(tmp_path, capsys):
+    ref, est = tmp_path / "ref", tmp_path / "est"
+    ref.mkdir()
+    est.mkdir()
+    make_wav(ref / "a.wav")
+    make_wav(est / "a.wav", seed=2)
+    write_wav(ref / "b.wav", Waveform(np.zeros(4000)), WavSpec(22050, "float32"))
+    make_wav(est / "b.wav", n=4000)
+    out = tmp_path / "report.csv"
+    assert main(["evaluate", str(ref), str(est), "-o", str(out), "--jobs", "2"]) == 2
+    assert "glavoc: error: b.wav: snr needs a nonzero reference" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reports_quote_file_names(tmp_path, capsys):
     ref, est = tmp_path / "ref", tmp_path / "est"
     ref.mkdir()

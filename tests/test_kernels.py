@@ -164,17 +164,25 @@ def test_overlap_add_is_adjoint_of_framing():
 
 
 def test_window_sumsq_equals_overlap_of_squares():
-    # the plan's normalizer is the overlap-add of squared windows, read
-    # over the output region
+    # the normalizer the plan divides by, its interior hop of sums tiled
+    # over the interior cells, is the overlap-add of squared windows read
+    # over the output region; 3 frames leave no interior cell
     rng = np.random.default_rng(3)
-    p = StftParams(n_fft=128, hop=24, win_length=96, window=0.5 + 0.5 * rng.random(96))
-    n_frames = 51
-    n = p.max_length_for_frames(n_frames)
-    out_len = (n_frames - 1) * p.hop + p.n_fft
-    w = p.padded_window()
-    region = slice(p.pad_amount, p.pad_amount + n)
-    direct = _window_sumsq_loop(w, p.hop, n_frames, out_len)[region]
-    tiled = _overlap_add_loop(np.tile(w * w, (n_frames, 1)), p.hop, out_len)[region]
-    norm = _StftPlan(p, n, n_frames)._build_norm()
-    assert np.array_equal(norm, direct)
-    assert np.array_equal(norm, tiled)
+    window = 0.5 + 0.5 * rng.random(96)
+    for n_frames in (51, 3):
+        for center in (True, False):
+            p = StftParams(n_fft=128, hop=24, win_length=96, window=window,
+                           center_padding=center)
+            n = p.max_length_for_frames(n_frames)
+            out_len = (n_frames - 1) * p.hop + p.n_fft
+            w = p.padded_window()
+            region = slice(p.pad_amount, p.pad_amount + n)
+            direct = _window_sumsq_loop(w, p.hop, n_frames, out_len)[region]
+            tiled = _overlap_add_loop(np.tile(w * w, (n_frames, 1)), p.hop, out_len)[region]
+            spans = _StftPlan(p, n, n_frames)._build_norm()
+            assert [a for a, _, _ in spans] == [region.start] + [b for _, b, _ in spans[:-1]]
+            assert spans[-1][1] == region.stop
+            norm = np.concatenate([np.tile(s[0], (b - a) // p.hop) if s.ndim == 2 else s
+                                   for a, b, s in spans])
+            assert np.array_equal(norm, direct)
+            assert np.array_equal(norm, tiled)

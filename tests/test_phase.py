@@ -328,25 +328,26 @@ def traced_peak(f):
 
 
 def test_burst_memory_stays_within_its_per_frame_bound(monkeypatch):
-    # README, Memory: besides the caller's target, a burst holds 26.0 kB a
-    # frame with momentum and 9.6 kB without, and about 4 MB of chunk
-    # buffers per thread; an iterate-sized array would add 16.4 kB a frame
+    # README, Memory: besides the caller's target, a burst holds 18.8 kB a
+    # frame with momentum and 2.4 kB without, and about 3 MB of chunk
+    # buffers per thread; a second signal-length array would add 2.4 kB
+    # a frame, an iterate-sized one 16.4 kB
     n_frames = 2000
     s_hat = np.random.default_rng(25).random((n_frames, P.n_bins))
     monkeypatch.setattr(dsp, "_cores", lambda: 2)
-    for momentum, per_frame in ((0.99, 28_000), (0.0, 12_000)):
+    for momentum, per_frame in ((0.99, 21_000), (0.0, 5_000)):
         peak = traced_peak(lambda: fgla(s_hat, P, GlaConfig(iterations=3, momentum=momentum)))
         assert peak < n_frames * per_frame + 2 * 3_000_000, momentum
 
 
 def test_istft_allocates_only_synthesis_buffers():
-    # the padded signal, its normalizer and the cell sums (8 bytes a sample
-    # each) and one chunk of frames; the analysis frame and magnitude ratio
-    # buffers an istft never uses would add 1.57 MB
+    # the padded signal (8 bytes a sample) and one chunk of frames; a
+    # signal-length normalizer or cell sums would add 0.53 MB each, and the
+    # analysis frame and magnitude ratio buffers an istft never uses 1.57 MB
     y = Waveform(np.random.default_rng(26).standard_normal(3 * 22050))
     C = stft(y, P)
     peak = traced_peak(lambda: istft(C))
-    assert peak < 3 * 8 * len(y) + dsp.CHUNK_ROWS * P.n_fft * 8 + 500_000
+    assert peak < 8 * len(y) + dsp.CHUNK_ROWS * P.n_fft * 8 + 500_000
 
 
 def test_initial_spectrogram_allocates_only_the_iterate():
@@ -549,6 +550,29 @@ def test_bursts_are_identical_however_the_rows_split(name, monkeypatch):
     for cores in (2, 3, 7):
         for serial, split in zip(outputs[1], outputs[cores]):
             assert np.array_equal(serial, split)
+
+
+@pytest.mark.parametrize("window", ("hann", "rectangular"))
+def test_in_place_writes_one_row_behind_the_analysis_match_the_serial_run(window, monkeypatch):
+    # one-row chunks at hop 1: each chunk writes the cell of its row while
+    # the next row, which reads the cell after it, is still to be analyzed,
+    # and the rows reading the left reflect edge sit in 2 of the 7 blocks.
+    # Hann's first sample is 0, so only the rectangular window shows a
+    # cell written before its own row's first piece is in
+    p = SPLIT_GEOMETRIES["small_hop_short_window"]
+    if window == "rectangular":
+        p = StftParams(p.n_fft, p.hop, p.win_length, window=np.ones(p.win_length))
+    n_frames = 7 * burst_plan(p, p.frames_for_length(1)).n_pieces
+    monkeypatch.setattr(dsp, "_cores", lambda: 1)
+    serial = burst_outputs(p, n_frames)
+    monkeypatch.setattr(dsp, "_cores", lambda: 7)
+    monkeypatch.setattr(dsp, "MIN_BLOCK_SAMPLES", p.n_fft)
+    monkeypatch.setattr(dsp, "CHUNK_ROWS", 1)
+    blocks = dsp._row_blocks(burst_plan(p, n_frames))
+    assert len(blocks) == 7
+    assert sum(b.start < p.pad_amount // p.hop for b in blocks) == 2
+    for want, got in zip(serial, burst_outputs(p, n_frames)):
+        assert np.array_equal(want, got)
 
 
 # host timings drift, so no deadline; derandomized so every run checks the
