@@ -52,26 +52,26 @@ def write_wav(path, y: Waveform, spec: WavSpec) -> None:
     if spec.bit_depth == "pcm16":
         clamped = np.clip(x, -1.0, 32767.0 / PCM16_SCALE) * PCM16_SCALE
         ints = np.sign(clamped) * np.floor(np.abs(clamped) + 0.5)
-        payload = ints.astype("<i2").tobytes()
+        payload = ints.astype("<i2")
         audio_format, bits = 1, 16
     else:
         with np.errstate(over="ignore"):    # an overflow is reported below, with the path
             samples = x.astype("<f4")
         if not np.all(np.isfinite(samples)):
             raise ValueError(f"{path}: samples overflow float32")
-        payload = samples.tobytes()
+        payload = samples
         audio_format, bits = 3, 32
     block_align = bits // 8
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(payload), b"WAVE",
+        b"RIFF", 36 + payload.nbytes, b"WAVE",
         b"fmt ", 16, audio_format, 1,
         spec.sample_rate, spec.sample_rate * block_align, block_align, bits,
-        b"data", len(payload),
+        b"data", payload.nbytes,
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(payload)    # the array's own buffer, not a bytes copy
 
 
 def read_wav(path):
@@ -84,7 +84,7 @@ def read_wav(path):
     1..MAX_SAMPLE_RATE, is returned in the WavSpec; the Waveform carries none.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = memoryview(fh.read())    # chunk bodies are views, not copies
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise ValueError(f"{path}: not a RIFF/WAVE file")
 

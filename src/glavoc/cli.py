@@ -4,10 +4,16 @@ Exit codes: 0 success, 1 usage error (bad flags, arguments or config
 values), 2 data error (unreadable or inconsistent files).  Every run
 echoes its fully resolved configuration to stderr; that echo is a valid
 config file that reproduces the run.
+
+:func:`main` can be called many times in one process.  It builds its
+parser on the first call and parses every later argv with that one;
+the filterbank of each geometry is shared the same way, through
+``RunConfig.filterbank``.
 """
 
 import argparse
 import dataclasses
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -104,6 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves a parser as it found it, so one serves every main call
+_shared_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def resolve_config(args) -> RunConfig:
     """The config file, or the defaults, under the flags that name a config key."""
     keys = {f.name for f in dataclasses.fields(RunConfig)}
@@ -120,7 +130,7 @@ def _echo_config(cfg: RunConfig):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     cfg = None

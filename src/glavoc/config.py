@@ -5,9 +5,14 @@ layout, schedule and sampler knobs, baseline vocoder settings, metric
 floors and I/O format.  The text form round-trips exactly (floats are
 serialized with repr), so the config echo of a run is itself a valid
 config file reproducing that run.
+
+``RunConfig.filterbank`` hands every config of one geometry the same
+immutable filterbank, so a process builds each geometry's weights and
+pseudo-inverse once.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,8 +116,9 @@ class RunConfig:
                           center_padding=self.center)
 
     def filterbank(self) -> MelFilterbank:
-        return mel_filterbank(self.sample_rate, self.n_fft, self.n_mels,
-                              self.f_min, self.f_max)
+        """The filterbank of this mel geometry, one instance for every config that names it."""
+        return _shared_filterbank(self.sample_rate, self.n_fft, self.n_mels,
+                                  self.f_min, self.f_max)
 
     def noise_schedule(self):
         return named_schedule(self.schedule, rooted_sigma=not self.sigma_no_sqrt)
@@ -135,6 +141,14 @@ class RunConfig:
 
     def wav_spec(self) -> WavSpec:
         return WavSpec(self.sample_rate, self.wav_format)
+
+
+# About 2 MB a geometry at the defaults, weights and pseudo-inverse, kept
+# for the life of the process.  Typed, so 22050 and 22050.0 get their own
+# entries: the rate's type is the one the filterbank carries.
+@functools.lru_cache(maxsize=8, typed=True)
+def _shared_filterbank(sample_rate, n_fft, n_mels, f_min, f_max) -> MelFilterbank:
+    return mel_filterbank(sample_rate, n_fft, n_mels, f_min, f_max)
 
 
 def _parse_value(ftype, key, val, lineno):

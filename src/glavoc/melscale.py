@@ -5,10 +5,15 @@ triangular filters spaced uniformly on the HTK mel scale, and its
 Moore-Penrose pseudo-inverse lifts mel frames back to full-resolution
 magnitude estimates.  Working in the magnitude domain means the lifted
 frames can serve directly as fixed-magnitude targets for phase retrieval.
+
+A filterbank is immutable: its fields cannot be rebound, its arrays are
+read-only, and it computes its pseudo-inverse once, on first use.  So one
+instance per geometry can serve every run of a process
+(``RunConfig.filterbank``); :func:`mel_filterbank` builds a new one.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,26 +30,29 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MelFilterbank:
     """Triangular mel filter matrix.
 
     ``weights`` is B x F (bands by frequency bins), for bins spaced at
-    ``sample_rate``, the rate a mel file records.
+    ``sample_rate``, the rate a mel file records.  ``weights`` is kept as
+    a read-only float64 view, so the caller's array stays writable.
     """
 
     weights: np.ndarray
     sample_rate: float
+    _pinv: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.asarray(self.weights, dtype=np.float64).view()
         if w.ndim != 2:
             raise ValueError(f"weights must be 2-D, got shape {w.shape}")
         if not np.all(np.isfinite(w)) or w.min() < 0.0:
             raise ValueError("filter weights must be finite and nonnegative")
         if not (np.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise ValueError(f"sample_rate must be finite and positive, got {self.sample_rate}")
-        self.weights = w
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
 
     @property
     def n_bands(self) -> int:
@@ -56,8 +64,17 @@ class MelFilterbank:
 
     @property
     def pseudo_inverse(self) -> np.ndarray:
-        """F x B Moore-Penrose pseudo-inverse of the filter matrix, computed on each access."""
-        return np.linalg.pinv(self.weights, rcond=1e-8)
+        """F x B Moore-Penrose pseudo-inverse of the filter matrix, read-only.
+
+        Computed on first access and kept.  It takes no lock: threads that
+        race here each compute the same bits, and one result is kept.
+        """
+        pinv = self._pinv
+        if pinv is None:
+            pinv = np.linalg.pinv(self.weights, rcond=1e-8)
+            pinv.flags.writeable = False
+            object.__setattr__(self, "_pinv", pinv)
+        return pinv
 
 
 @dataclass
@@ -183,7 +200,7 @@ def write_mels(path, mel: MelSpectrogram) -> None:
     header = MELS_MAGIC + struct.pack("<III f", MELS_VERSION, *frames.shape, rate)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(frames.tobytes())
+        fh.write(frames)
 
 
 def read_mels(path):

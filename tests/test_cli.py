@@ -1,5 +1,6 @@
 """Config round-tripping, CLI exit codes, and end-to-end command behavior."""
 
+import argparse
 import csv
 import struct
 
@@ -8,6 +9,7 @@ import pytest
 
 from signals import harmonic_signal
 
+from glavoc import cli, config
 from glavoc.audio_io import WavSpec, read_wav, write_wav
 from glavoc.cli import build_parser, main, resolve_config
 from glavoc.config import RunConfig, load_config
@@ -433,3 +435,69 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "seed = 99" in err          # flag beat the file
     assert "iters = 5" in err          # file beat the default
+
+
+# -------------------------------------------------------------- shared set-up
+
+def test_equal_configs_share_one_filterbank():
+    fb = RunConfig().filterbank()
+    assert RunConfig(seed=3, hop=150).filterbank() is fb
+    assert RunConfig.from_text("n_mels = 128\nf_max = 11025.0\n").filterbank() is fb
+    other = RunConfig(n_mels=64).filterbank()
+    assert other is not fb and other.n_bands == 64
+    # typed: an equal rate of another type gets its own filterbank, which carries that type
+    as_float = RunConfig(sample_rate=22050.0).filterbank()
+    assert as_float is not fb and type(as_float.sample_rate) is float
+    assert mel_filterbank(22050, 2048, 128, 20.0, 11025.0) is not mel_filterbank(
+        22050, 2048, 128, 20.0, 11025.0)
+
+
+def test_one_process_computes_the_pseudo_inverse_once(tmp_path, capsys, monkeypatch):
+    wav = tmp_path / "in.wav"
+    make_wav(wav, n=4000)
+    mels = tmp_path / "in.mels"
+    assert main(["analyze", str(wav), "-o", str(mels)]) == 0
+    config._shared_filterbank.cache_clear()
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(a) or pinv(*a, **k))
+    short = ["--correction-steps", "1", "--gla-iters", "2"]
+    assert main(["vocode", str(mels), "-o", str(tmp_path / "v.wav"),
+                 "--predictor", "zero"] + short) == 0
+    assert main(["vocode-gla", str(mels), "-o", str(tmp_path / "g.wav"), "--iters", "2"]) == 0
+    for run in ("s1", "s2"):
+        assert main(["simulate", str(wav), "-o", str(tmp_path / run)] + short) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    assert main([]) == 1
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    assert main([]) == 1
+    assert main(["analyze"]) == 1
+    assert built == []
+    capsys.readouterr()
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged(tmp_path, capsys):
+    wav = tmp_path / "in.wav"
+    make_wav(wav, n=4000)
+    mels = tmp_path / "in.mels"
+    assert main(["analyze", str(wav), "-o", str(mels)]) == 0
+    capsys.readouterr()
+    argv = ["vocode-gla", str(mels), "--iters", "2"]
+    assert main(argv + ["-o", str(tmp_path / "before.wav")]) == 0
+    before = capsys.readouterr().err
+    # the failing call sets the flags the next one leaves out before it fails
+    assert main(["vocode-gla", str(mels), "-o", str(tmp_path / "x.wav"),
+                 "--seed", "5", "--momentum", "0.5", "--iters", "zz"]) == 1
+    assert "invalid int value: 'zz'" in capsys.readouterr().err
+    assert main(argv + ["-o", str(tmp_path / "after.wav")]) == 0
+    assert capsys.readouterr().err == before
+    assert (tmp_path / "after.wav").read_bytes() == (tmp_path / "before.wav").read_bytes()
+    fresh = build_parser().parse_args(argv + ["-o", "o.wav"])
+    assert vars(cli._shared_parser().parse_args(argv + ["-o", "o.wav"])) == vars(fresh)

@@ -1,8 +1,12 @@
 """Mel filterbank, pseudo-inverse lift, and interchange-format tests."""
 
+import dataclasses
 import itertools
 import struct
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -138,6 +142,44 @@ def test_pseudo_inverse_identity():
     fb = default_fb()
     eye_err = np.linalg.norm(fb.weights @ fb.pseudo_inverse - np.eye(128))
     assert eye_err / np.sqrt(128) < 1e-6
+
+
+def test_filterbank_arrays_and_fields_refuse_changes():
+    fb = default_fb()
+    for array in (fb.weights, fb.pseudo_inverse):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    for name, value in (("weights", np.zeros((128, 1025))), ("sample_rate", 16000.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fb, name, value)
+    assert fb.pseudo_inverse is fb.pseudo_inverse     # computed once, then kept
+    # the filterbank holds a read-only view; the caller's array stays writable
+    weights = np.array(fb.weights)
+    MelFilterbank(weights, 22050)
+    weights[0, 0] = 1.0
+
+
+def test_threads_first_touching_the_pseudo_inverse_get_the_same_bits():
+    # no lock: threads that race compute the same bits, and any result may be kept
+    fb = default_fb()
+    want = np.linalg.pinv(fb.weights, rcond=1e-8).tobytes()
+    start = threading.Barrier(4)
+
+    def touch(_):
+        start.wait(timeout=60)
+        return fb.pseudo_inverse
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(touch, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for pinv in got + [fb.pseudo_inverse]:
+        assert pinv.tobytes() == want
+        assert not pinv.flags.writeable
 
 
 def test_lift_zero_and_clamp():
