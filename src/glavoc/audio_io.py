@@ -50,9 +50,15 @@ def write_wav(path, y: Waveform, spec: WavSpec) -> None:
     if x.shape[0] == 0:
         raise ValueError(f"{path}: no samples to write")
     if spec.bit_depth == "pcm16":
-        clamped = np.clip(x, -1.0, 32767.0 / PCM16_SCALE) * PCM16_SCALE
-        ints = np.sign(clamped) * np.floor(np.abs(clamped) + 0.5)
-        payload = ints.astype("<i2")
+        # rounded in one scratch array: |v| + 0.5 floored, the sign put back
+        # from x, whose sign clamping and scaling keep
+        v = np.clip(x, -1.0, 32767.0 / PCM16_SCALE)
+        v *= PCM16_SCALE
+        np.abs(v, out=v)
+        v += 0.5
+        np.floor(v, out=v)
+        np.copysign(v, x, out=v)
+        payload = v.astype("<i2")
         audio_format, bits = 1, 16
     else:
         with np.errstate(over="ignore"):    # an overflow is reported below, with the path
@@ -117,7 +123,8 @@ def read_wav(path):
     if audio_format == 1 and bits == 16:
         if len(payload) % 2:
             raise ValueError(f"{path}: odd PCM16 payload size")
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / PCM16_SCALE
+        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64)
+        samples /= PCM16_SCALE
         depth = "pcm16"
     elif audio_format == 3 and bits == 32:
         if len(payload) % 4:

@@ -20,16 +20,16 @@ rejects a count that no signal analyzes to.
 accept those.  :meth:`~StftParams.check_length` admits only the lengths
 that analyze back to exactly n frames, which a projection round needs.
 
-Every transform runs in one engine, :func:`_project_rounds`, on a
-:class:`_StftPlan` built per call for one (parameters, signal length)
-pair: the window support, the hop-sized output cells, the squared-window
-normalizer, one table per cell class, and, as far as the call needs
-them, one padded signal and its reflect-pad edge map.  :func:`stft` is
-its first analysis and :func:`istft` its last synthesis, with no rounds
-between; the Griffin-Lim bursts of :mod:`glavoc.phase` run theirs to a
-signal.  A step is one pass, CHUNK_ROWS frame rows at a time through
-analysis, momentum, magnitude projection and synthesis, summing each
-frame's windowed pieces into its output cells.  A frame reads only the
+Every transform works on a :class:`_StftPlan` built per call for one
+(parameters, signal length) pair: the window support, the hop-sized
+output cells, one padded signal and its reflect-pad edge map, and, for a
+synthesis, the squared-window normalizer, one table per cell class.
+:func:`stft` analyzes the padded signal CHUNK_ROWS frame rows at a time.
+Every synthesis runs in one engine, :func:`_project_rounds`:
+:func:`istft` with no rounds, the Griffin-Lim bursts of
+:mod:`glavoc.phase` with theirs.  A step is one pass, CHUNK_ROWS frame
+rows at a time through analysis, momentum, magnitude projection and
+synthesis, summing each frame's windowed pieces into its output cells.  A frame reads only the
 cells it adds to, so once a chunk's rows are done the cells below them
 are finished, and their normalized samples go straight back into the
 padded signal the step reads.  The reflect-pad edges are refreshed
@@ -42,9 +42,9 @@ the process may run on while each holds MIN_BLOCK_SAMPLES frame samples
 and a window's worth of pieces, one thread each.  A block's thread
 writes the cells its rows finish, and the threads meet at one barrier
 after each pass, so nothing runs serially between rounds, and the
-output is byte-identical whatever the split.  A call with no rounds runs
-on the calling thread.  Plans are never cached, so separate callers
-share no state.
+output is byte-identical whatever the split.  :func:`stft` and a call
+with no rounds run on the calling thread.  Plans are never cached, so
+separate callers share no state.
 """
 
 import math
@@ -264,10 +264,9 @@ class _StftPlan:
 
     ``length`` is the signal length analyzed from, or synthesized to, and
     ``n_frames`` the spectrogram frame count.  ``sig`` is the one padded
-    signal, allocated by :meth:`signal` when a transform first needs it:
-    the signal from sample ``pad_amount`` on, reflect-padded at both ends
-    and zero past that.  Analysis reads its frames, and synthesis writes
-    finished samples back into it in place.
+    signal: the signal from sample ``pad_amount`` on, reflect-padded at
+    both ends and zero past that.  Analysis reads its frames, and
+    synthesis writes finished samples back into it in place.
 
     :meth:`analyze_rows` windows a slice of frame rows of the signal
     through an n_fft-wide buffer and takes their rfft;
@@ -291,18 +290,11 @@ class _StftPlan:
                            -(-(p.pad_amount + length - left) // p.hop))
         self.n_pieces = -(-p.win_length // p.hop)
         self.norm = None
-        self.sig = self.windows = None
+        self.sig = np.empty((n_frames - 1) * p.hop + p.n_fft)
+        self.sig[length + 2 * p.pad_amount:] = 0.0
+        self.windows = np.lib.stride_tricks.sliding_window_view(
+            self.sig[left:], p.win_length)[::p.hop][:n_frames]
         self.edge_src = self.edge_dst = None
-
-    def signal(self) -> np.ndarray:
-        """The padded signal, allocated on first use."""
-        p = self.p
-        if self.sig is None:
-            self.sig = np.empty((self.n_frames - 1) * p.hop + p.n_fft)
-            self.sig[self.length + 2 * p.pad_amount:] = 0.0
-            self.windows = np.lib.stride_tricks.sliding_window_view(
-                self.sig[self.support.start:], p.win_length)[::p.hop][:self.n_frames]
-        return self.sig
 
     def frame_buffer(self, rows: int) -> np.ndarray:
         """An n_fft-wide buffer of ``rows`` frames, zero outside the window support."""
@@ -369,7 +361,7 @@ class _StftPlan:
     def pad(self, x: np.ndarray) -> None:
         """Reflect-pad ``x`` into the padded signal."""
         pad = self.p.pad_amount
-        self.signal()[pad:pad + self.length] = x
+        self.sig[pad:pad + self.length] = x
         self.refresh_edges()
 
     def refresh_edges(self) -> None:
@@ -466,9 +458,8 @@ def _put_phase(X: np.ndarray, phase: np.ndarray, s: np.ndarray) -> None:
 
 
 def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentum: float,
-                    X: np.ndarray = None, seed: int = None,
-                    synthesize: bool = False, project: bool = False) -> np.ndarray:
-    """Run ``iterations`` projection rounds; return the last iterate or its signal.
+                    X: np.ndarray = None, seed: int = None, project: bool = False) -> np.ndarray:
+    """Run ``iterations`` projection rounds; return the signal of the last iterate.
 
     A round is t_k = P_C(P_mag(C_{k-1})).  With momentum m > 0 the next
     iterate is C_k = t_k + m (t_k - t_{k-1}) from the second round on
@@ -477,12 +468,10 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     only when no round runs and ``project`` is off); or s_hat under the
     phases ``np.random.default_rng(seed).uniform(-pi, pi)`` draws in
     row-major order; or, with neither, the analysis of the plan's padded
-    signal.  ``s_hat`` may then be None if no magnitude is projected.
-    ``synthesize`` returns the signal of the last iterate, after one more
-    magnitude projection if ``project``, as every call with rounds does;
-    only zero-round :func:`stft` and ``initial_spectrogram`` return the
-    iterate, in ``X``.  Raises ValueError if a synthesized iterate built
-    here is not finite.
+    signal.  ``s_hat`` may be None if no magnitude is projected.  The last
+    iterate, after one more magnitude projection if ``project``, is
+    synthesized, and the output region of the padded signal returned.
+    Unless ``X`` is given, raises ValueError if the last iterate is not finite.
 
     Each step is one pass on the threads of :func:`_row_blocks`, one row
     block each; a call with no rounds runs as one block on the calling
@@ -507,13 +496,9 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     """
     p, n_pieces = plan.p, plan.n_pieces
     analyze_first = X is None and seed is None
-    scan_last = synthesize and X is None
-    if X is None and not synthesize:
-        X = np.empty((plan.n_frames, p.n_bins), dtype=np.complex128)
     prev = (np.empty((plan.n_frames, p.n_bins), dtype=np.complex128)
             if momentum and iterations > 1 else None)
-    # a plain transform stays on its caller's thread, so each of evaluate's
-    # jobs holds one set of chunk buffers
+    # a plain synthesis stays on its caller's thread, as stft does
     blocks = _row_blocks(plan) if iterations else [slice(0, plan.n_frames)]
     # no piece of a row from cells.stop on lands in an output cell
     c0, c1 = plan.cells.start, plan.cells.stop
@@ -521,10 +506,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                              for b in blocks[1:]]
     cuts = [min(max(h.stop, c0), c1) for h in heads]
     cell_blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [c1])]
-    synthesizes = iterations or synthesize
-    if synthesizes:
-        plan.norm = plan._build_norm()
-        plan.signal()
+    plan.norm = plan._build_norm()
     # only a pass that another follows waits, so the last one writes no edge
     barrier = threading.Barrier(len(blocks), action=plan.refresh_edges)
     ready = [threading.Semaphore(0) for _ in blocks]    # block i's kept rows are done
@@ -538,12 +520,11 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
         m = min(CHUNK_ROWS, rows.stop - rows.start)
         frames = plan.frame_buffer(m) if iterations or analyze_first else None
         spectra = np.empty((m, p.n_bins), dtype=np.complex128) if iterations or X is None else None
-        if synthesizes:    # a plain analysis needs no synthesis buffers
-            waves = np.empty((m, p.n_fft))
-            # a projection's |C| is spent before the chunk's irfft fills waves
-            ratio = waves.reshape(-1)[:m * p.n_bins].reshape(m, p.n_bins)
-            acc = np.empty((m + n_pieces - 1, p.hop))    # the cells from `done` on
-            kept[i] = np.empty((head.stop - head.start, p.win_length))
+        waves = np.empty((m, p.n_fft))
+        # a projection's |C| is spent before the chunk's irfft fills waves
+        ratio = waves.reshape(-1)[:m * p.n_bins].reshape(m, p.n_bins)
+        acc = np.empty((m + n_pieces - 1, p.hop))    # the cells from `done` on
+        kept[i] = np.empty((head.stop - head.start, p.win_length))
 
         def finish(stop: int) -> None:
             # write the cells from `done` to `stop`; the later ones move up in acc
@@ -560,10 +541,8 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
             rng.bit_generator.advance(rows.start * p.n_bins)
         for k in range(iterations + 1):
             last = k == iterations
-            synth = not last or synthesize
-            if synth:
-                acc[...] = 0.0
-                done = cells.start
+            acc[...] = 0.0
+            done = cells.start
             for r in _chunks(rows, CHUNK_ROWS):
                 n = r.stop - r.start
                 C = X[r] if k == 0 and X is not None else spectra[:n]
@@ -578,14 +557,14 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                         C += t
                 elif seed is not None:
                     _put_phase(C, rng.uniform(-np.pi, np.pi, C.shape), s_hat[r])
-                if last and scan_last:
+                if last and X is None:    # an iterate built here
                     finite[i] &= bool(np.isfinite(C).all())
-                if synth:    # the rows from c1 on are neither projected nor synthesized
-                    n = min(n, max(0, c1 - r.start))
-                    C = C[:n]
+                # the rows from c1 on are neither projected nor synthesized
+                n = min(n, max(0, c1 - r.start))
+                C = C[:n]
                 if not last or project:    # start round k + 1 from C_k
                     _set_magnitude(C, s_hat[r.start:r.start + n], ratio[:n])
-                if synth and n:
+                if n:
                     support = plan.synthesize_rows(C, waves)
                     plan._cell_sums(support, slice(r.start, r.start + n),
                                     slice(done, cells.stop), acc)
@@ -596,17 +575,16 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                             ready[i].release()
                 if momentum and 1 < k < iterations:    # t_k for the next round
                     prev[r] = t
-                if synth:    # every row reading a cell below r.stop is analyzed
-                    finish(min(r.stop, cells.stop))
-            if synth:
-                if shared.start < shared.stop:    # block i + 1's terms in this block's cells
-                    ready[i + 1].acquire()
-                    if barrier.broken:
-                        raise threading.BrokenBarrierError
-                    plan._cell_sums(kept[i + 1], shared, slice(done, cells.stop), acc)
-                finish(cells.stop)
-                if not last:
-                    barrier.wait()
+                # every row reading a cell below r.stop is analyzed
+                finish(min(r.stop, cells.stop))
+            if shared.start < shared.stop:    # block i + 1's terms in this block's cells
+                ready[i + 1].acquire()
+                if barrier.broken:
+                    raise threading.BrokenBarrierError
+                plan._cell_sums(kept[i + 1], shared, slice(done, cells.stop), acc)
+            finish(cells.stop)
+            if not last:
+                barrier.wait()
 
     def guarded(i: int) -> None:
         # numpy's error state is per thread; overflow is left to the
@@ -633,9 +611,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
         raise failed[0]
     if not all(finite):
         raise ValueError("spectrogram contains non-finite values")
-    if synthesize:
-        return plan.sig[p.pad_amount:p.pad_amount + plan.length]
-    return X
+    return plan.sig[p.pad_amount:p.pad_amount + plan.length]
 
 
 def stft(y: Waveform, p: StftParams) -> ComplexSpectrogram:
@@ -647,7 +623,13 @@ def stft(y: Waveform, p: StftParams) -> ComplexSpectrogram:
     x = y.samples
     plan = _StftPlan(p, x.shape[0], p.frames_for_length(x.shape[0]))
     plan.pad(x)
-    return ComplexSpectrogram(_project_rounds(plan, None, 0, 0.0), p, x.shape[0])
+    X = np.empty((plan.n_frames, p.n_bins), dtype=np.complex128)
+    frames = plan.frame_buffer(min(CHUNK_ROWS, plan.n_frames))
+    # an overflow is reported once, by the ComplexSpectrogram
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in _chunks(slice(0, plan.n_frames), CHUNK_ROWS):
+            plan.analyze_rows(r, frames, out=X[r])
+    return ComplexSpectrogram(X, p, x.shape[0])
 
 
 def istft(C: ComplexSpectrogram, target_length: int | None = None) -> Waveform:
@@ -662,5 +644,5 @@ def istft(C: ComplexSpectrogram, target_length: int | None = None) -> Waveform:
     length = (C.origin_length if target_length is None
               else C.params.synthesis_length(C.n_frames, target_length))
     plan = _StftPlan(C.params, length, C.n_frames)
-    return Waveform(_project_rounds(plan, None, 0, 0.0, X=C.frames, synthesize=True))
+    return Waveform(_project_rounds(plan, None, 0, 0.0, X=C.frames))
 

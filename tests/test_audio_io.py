@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -113,6 +114,19 @@ def test_pcm16_extremes_read_back_exactly(tmp_path):
     back, _ = read_wav(path)
     assert back.samples[0] == -1.0
     assert back.samples[1] == 32767.0 / 32768.0
+
+
+def test_pcm16_write_rounds_in_one_scratch_array(tmp_path):
+    # one float64 scratch array and the int16 payload: 1.25x the samples'
+    # bytes; each whole-signal float64 temporary would add 1x
+    y = Waveform(np.random.default_rng(5).uniform(-1.1, 1.1, 10 * 22050))
+    tracemalloc.start()
+    try:
+        write_wav(tmp_path / "m.wav", y, WavSpec(22050, "pcm16"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * y.samples.nbytes
 
 
 def test_header_bytes(tmp_path):

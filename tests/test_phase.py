@@ -169,14 +169,16 @@ def test_gla_distance_is_non_increasing():
 
 # ----------------------------------------------------------------------- FGLA
 
-def test_initial_spectrogram_default_length():
+@pytest.mark.parametrize("chunk_rows", [1, 7, pytest.param(dsp.CHUNK_ROWS, id="default")])
+def test_initial_spectrogram_default_length(monkeypatch, chunk_rows):
     rng = np.random.default_rng(3)
     n_frames = 3 * dsp.CHUNK_ROWS + 5
     s_hat = rng.random((n_frames, P.n_bins))
+    monkeypatch.setattr(dsp, "CHUNK_ROWS", chunk_rows)
     C = initial_spectrogram(s_hat, P, GlaConfig(seed=8))
     assert C.origin_length == P.max_length_for_frames(n_frames)
     # the chunk-by-chunk draw and in-place product have the bits of one
-    # whole-array draw and the plain expression
+    # whole-array draw and the plain expression, whatever the chunk size
     phase_draw = np.random.default_rng(8).uniform(-np.pi, np.pi, s_hat.shape)
     expected = s_hat * np.exp(1j * phase_draw)
     assert np.array_equal(C.frames.view(np.float64), expected.view(np.float64))
