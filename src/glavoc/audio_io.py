@@ -138,4 +138,8 @@ def read_wav(path):
         )
     if samples.shape[0] == 0:
         raise ValueError(f"{path}: empty data chunk")
-    return Waveform(samples), WavSpec(sample_rate, depth)
+    try:    # the Waveform's own scan, the only one
+        wave = Waveform(samples)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return wave, WavSpec(sample_rate, depth)

@@ -28,12 +28,16 @@ synthesis, the squared-window normalizer, one table per cell class.
 Every synthesis runs in one engine, :func:`_project_rounds`:
 :func:`istft` with no rounds, the Griffin-Lim bursts of
 :mod:`glavoc.phase` with theirs.  A step is one pass, CHUNK_ROWS frame
-rows at a time through analysis, momentum, magnitude projection and
-synthesis, summing each frame's windowed pieces into its output cells.  A frame reads only the
-cells it adds to, so once a chunk's rows are done the cells below them
-are finished, and their normalized samples go straight back into the
-padded signal the step reads.  The reflect-pad edges are refreshed
-from them once a round, after every cell is written.
+rows at a time through analysis, magnitude projection and synthesis,
+summing each frame's windowed pieces into its output cells.  A frame
+reads only the cells it adds to, so once a chunk's rows are done the
+cells below them are finished, and their normalized samples go straight
+back into the padded signal the step reads.  Momentum acts there, on
+the signal: analysis is linear, so the analysis of x_k + m (x_k - x_{k-1})
+is the accelerated iterate, and a burst keeps the plain signal x_{k-1}
+beside the padded one instead of a spectrogram.  The reflect-pad edges
+are refreshed from the padded signal once a round, after every cell is
+written.
 Each array is scanned for finiteness once, by the :class:`ComplexSpectrogram`
 or :class:`Waveform` holding it, or by the engine if none does.
 
@@ -273,12 +277,13 @@ class _StftPlan:
     :meth:`synthesize_rows` takes the irfft and window of spectrum rows.
     :meth:`_cell_sums` adds windowed frames into hop-sized output cells,
     of which ``cells`` covers the output region, and :meth:`write`
-    normalizes finished cells into the output region.  Row r's window
-    spans cells r to r + n_pieces - 1, so cell r is finished once the
-    rows up to r are, and no later row reads it.  The reflect-pad edges
-    are read by rows far from the samples they mirror, so only
-    :meth:`pad` and :meth:`refresh_edges` write them.  Disjoint row
-    slices, and disjoint cell ranges, may run on different threads.
+    normalizes finished cells into the output region, adding momentum
+    when given the previous signal.  Row r's window spans cells r to
+    r + n_pieces - 1, so cell r is finished once the rows up to r are,
+    and no later row reads it.  The reflect-pad edges are read by rows
+    far from the samples they mirror, so only :meth:`pad` and
+    :meth:`refresh_edges` write them.  Disjoint row slices, and disjoint
+    cell ranges, may run on different threads.
     """
 
     def __init__(self, p: StftParams, length: int, n_frames: int):
@@ -389,21 +394,38 @@ class _StftPlan:
         support *= self.p.window
         return support
 
-    def write(self, acc: np.ndarray, cells: slice) -> None:
-        """Normalized samples of the cell sums ``acc`` over ``cells`` into the output region."""
-        hop = self.p.hop
+    def write(self, acc: np.ndarray, cells: slice, xs: np.ndarray = None,
+              momentum: float = 0.0) -> None:
+        """Normalized samples x of the cell sums ``acc`` over ``cells`` into the output region.
+
+        ``xs``, if given, is the previous plain signal over the output
+        region: the padded signal gets x + momentum (x - xs), or x at
+        momentum 0, and ``xs`` gets x.  x is then built in ``acc``, which
+        the caller gives up, so the write allocates nothing.
+        """
+        hop, pad = self.p.hop, self.p.pad_amount
         base = self.support.start + cells.start * hop
         stop = base + (cells.stop - cells.start) * hop
         for a, b, norm in self.norm:
             lo, hi = max(a, base), min(b, stop)
             if lo >= hi:
                 continue
-            src, out = acc.reshape(-1)[lo - base:hi - base], self.sig[lo:hi]
+            x, out = acc.reshape(-1)[lo - base:hi - base], self.sig[lo:hi]
+            dst = out if xs is None else x
             if norm.ndim == 2:    # interior cells, whole ones, under one hop of sums
-                src, out = src.reshape(-1, hop), out.reshape(-1, hop)
+                np.divide(x.reshape(-1, hop), norm, out=dst.reshape(-1, hop))
             else:
-                norm = norm[lo - a:hi - a]
-            np.divide(src, norm, out=out)
+                np.divide(x, norm[lo - a:hi - a], out=dst)
+            if xs is None:
+                continue
+            old = xs[lo - pad:hi - pad]
+            if momentum:    # x + m (x - x_prev), built in place of the padded signal
+                np.subtract(x, old, out=out)
+                out *= momentum
+                out += x
+            else:
+                out[...] = x
+            old[...] = x
 
 
 def _set_magnitude(X: np.ndarray, s: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
@@ -464,6 +486,9 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     A round is t_k = P_C(P_mag(C_{k-1})).  With momentum m > 0 the next
     iterate is C_k = t_k + m (t_k - t_{k-1}) from the second round on
     (Perraudin, Balazs and Soendergaard, 2013); with m = 0 it is t_k.
+    Every t_k is the analysis of the signal x_k synthesized from
+    P_mag(C_{k-1}), and analysis is linear, so C_k is the analysis of
+    x_k + m (x_k - x_{k-1}): the momentum acts on the synthesized samples.
     C_0 is ``X``, a validated complex array the caller gives up (read
     only when no round runs and ``project`` is off); or s_hat under the
     phases ``np.random.default_rng(seed).uniform(-pi, pi)`` draws in
@@ -476,15 +501,14 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     Each step is one pass on the threads of :func:`_row_blocks`, one row
     block each; a call with no rounds runs as one block on the calling
     thread.  The pass takes CHUNK_ROWS rows at a time through the end of
-    round k (analysis and momentum, or round 0's start) and the start of
-    round k + 1 (magnitude projection and synthesis) while they are in
-    cache, and adds each frame's windowed pieces into its block's cell
-    sums; a row whose pieces all fall past the last output cell is
-    analyzed but neither projected nor synthesized.  Between passes only
-    t_{k-1}, kept for momentum, spans the rows.  Block i, rows a to b,
-    writes cells a + n_pieces - 1 up to b + n_pieces - 1 (block 0 from
-    the first output cell) into the one padded signal, in place: after
-    a chunk of rows r0 to r1 it writes its cells below r1, whose readers
+    round k (analysis, or round 0's start) and the start of round k + 1
+    (magnitude projection and synthesis) while they are in cache, and
+    adds each frame's windowed pieces into its block's cell sums; a row
+    whose pieces all fall past the last output cell is analyzed but
+    neither projected nor synthesized.  Block i, rows a to b, writes
+    cells a + n_pieces - 1 up to b + n_pieces - 1 (block 0 from the
+    first output cell) into the one padded signal, in place: after a
+    chunk of rows r0 to r1 it writes its cells below r1, whose readers
     are all analyzed, and carries the partial sums of the next
     n_pieces - 1 cells over in a rolling accumulator.  The first
     n_pieces - 1 of its rows also reach the cells block i - 1 writes, so
@@ -493,11 +517,18 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     increasing frame order.  One barrier ends each pass that another
     follows, and its action refreshes the reflect-pad edges once every
     block has written.
+
+    With momentum and two rounds or more, one more signal-length array,
+    ``xs``, holds the plain synthesis x_{k+1} of pass k over the output
+    region, and between passes only it and the padded signal span the
+    rows.  Pass 0 writes x_1 to both; pass k, from 1 to iterations - 1,
+    writes x_{k+1} + m (x_{k+1} - x_k) to the padded signal and x_{k+1}
+    to ``xs``; the last pass writes its signal alone.  The edges mirror
+    the padded signal, so they carry the momentum too.
     """
     p, n_pieces = plan.p, plan.n_pieces
     analyze_first = X is None and seed is None
-    prev = (np.empty((plan.n_frames, p.n_bins), dtype=np.complex128)
-            if momentum and iterations > 1 else None)
+    xs = np.empty(plan.length) if momentum and iterations > 1 else None
     # a plain synthesis stays on its caller's thread, as stft does
     blocks = _row_blocks(plan) if iterations else [slice(0, plan.n_frames)]
     # no piece of a row from cells.stop on lands in an output cell
@@ -531,7 +562,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
             nonlocal done
             n = stop - done
             if n > 0:
-                plan.write(acc[:n], slice(done, stop))
+                plan.write(acc[:n], slice(done, stop), into, momentum if k else 0.0)
                 acc[:-n] = acc[n:]
                 acc[-n:] = 0.0
                 done = stop
@@ -541,20 +572,15 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
             rng.bit_generator.advance(rows.start * p.n_bins)
         for k in range(iterations + 1):
             last = k == iterations
+            # pass k synthesizes x_{k+1}; the padded signal gets C_{k+1}'s signal
+            into = None if last else xs
             acc[...] = 0.0
             done = cells.start
             for r in _chunks(rows, CHUNK_ROWS):
                 n = r.stop - r.start
                 C = X[r] if k == 0 and X is not None else spectra[:n]
-                if k or analyze_first:    # finish round k: t_k
-                    t = plan.analyze_rows(r, frames, out=C)
-                    if momentum and k == 1 and not last:
-                        prev[r] = t
-                    elif momentum and k > 1:    # C_k, built in t_{k-1}'s rows
-                        C = prev[r]
-                        np.subtract(t, C, out=C)
-                        C *= momentum
-                        C += t
+                if k or analyze_first:    # finish round k: C_k
+                    plan.analyze_rows(r, frames, out=C)
                 elif seed is not None:
                     _put_phase(C, rng.uniform(-np.pi, np.pi, C.shape), s_hat[r])
                 if last and X is None:    # an iterate built here
@@ -573,8 +599,6 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                             support[:head.stop - r.start]
                         if head.stop <= r.stop:
                             ready[i].release()
-                if momentum and 1 < k < iterations:    # t_k for the next round
-                    prev[r] = t
                 # every row reading a cell below r.stop is analyzed
                 finish(min(r.stop, cells.stop))
             if shared.start < shared.stop:    # block i + 1's terms in this block's cells

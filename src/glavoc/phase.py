@@ -10,6 +10,9 @@ Every burst of rounds, from :func:`gla`, :func:`fgla` and the sampler's
 correction :func:`gla_correct`, runs in the synthesis engine,
 :func:`glavoc.dsp._project_rounds`, from the starting iterate (or the
 first analysis) to a signal, which :func:`gla` analyzes with :func:`stft`.
+Momentum acts on the synthesized signals: the analysis of
+x_k + m (x_k - x_{k-1}) is the accelerated iterate, so a burst keeps a
+second signal, not the previous iterate.
 :func:`initial_spectrogram` draws its phases without a plan or engine.
 Inputs are validated at the public entry points, never per round.  The
 :class:`Waveform` and :class:`ComplexSpectrogram` of :func:`gla` check
@@ -118,7 +121,8 @@ def gla_correct(
     Analyze, run K composed (consistency after magnitude) projections,
     synthesize back at the same length.  K=0 is the bare analysis round
     trip, the identity up to floating point.  Positive momentum applies
-    the accelerated variant across the K rounds.  At momentum 0 the last
+    the accelerated variant across the K rounds, on the signals as in
+    :func:`fgla`.  At momentum 0 the last
     pass only analyzes the K-th round's signal and synthesizes it back, a
     round trip that changes rounding alone (about 2e-16 relative on a 3 s
     clip); it is kept so outputs stay byte-identical.
@@ -156,10 +160,13 @@ def fgla(
     """Fast Griffin-Lim vocoder: magnitude frames in, waveform out.
 
     Starts from :func:`initial_spectrogram`'s iterate, drawn a chunk at a time.
-    Momentum update t_k = P_C(P_mag(C_{k-1})), C_k = t_k + m (t_k - t_{k-1}).
-    The first step runs unaccelerated so momentum only ever differences two
-    consistent iterates; kicking it off from the raw (inconsistent) init
-    measurably hurts convergence.  Momentum 0 reduces exactly to plain
+    Momentum update t_k = P_C(P_mag(C_{k-1})), C_k = t_k + m (t_k - t_{k-1}),
+    taken as the analysis of x_k + m (x_k - x_{k-1}) for the signals x_k
+    that t_k analyzes: equal in exact arithmetic, it stores a signal
+    instead of t_{k-1}, and its output is the spectral update's to about
+    1e-13 relative at 32 rounds.  The first step runs unaccelerated so
+    momentum only ever differences two consistent iterates; kicking it
+    off from the raw (inconsistent) init measurably hurts convergence.  Momentum 0 reduces exactly to plain
     Griffin-Lim.  One final magnitude projection before synthesis keeps
     the emitted signal as close to the target magnitude as the last phase
     estimate allows.  ``target_length`` (default: the longest signal the

@@ -198,6 +198,15 @@ def test_reader_rejects_bad_files(tmp_path):
         read_wav(high_rate)
     assert str(err.value) == f"{high_rate}: bad sample rate 16777217"
 
+    not_finite = tmp_path / "n.wav"
+    write_wav(not_finite, Waveform(np.zeros(100)), WavSpec(22050, "float32"))
+    raw = bytearray(not_finite.read_bytes())
+    raw[44 + 4 * 7:44 + 4 * 8] = struct.pack("<f", np.nan)    # sample 7
+    not_finite.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as err:
+        read_wav(not_finite)
+    assert str(err.value) == f"{not_finite}: samples contain non-finite values"
+
     with pytest.raises(FileNotFoundError):
         read_wav(tmp_path / "missing.wav")
 

@@ -3,13 +3,14 @@
 import argparse
 import csv
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from signals import harmonic_signal
 
-from glavoc import cli, config
+from glavoc import cli, config, dsp
 from glavoc.audio_io import WavSpec, read_wav, write_wav
 from glavoc.cli import build_parser, main, resolve_config
 from glavoc.config import RunConfig, load_config
@@ -437,6 +438,23 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     assert "iters = 5" in err          # file beat the default
 
 
+def test_evaluate_names_the_file_with_a_non_finite_sample(tmp_path, capsys):
+    ref, est = tmp_path / "ref", tmp_path / "est"
+    ref.mkdir()
+    est.mkdir()
+    for name in ("a.wav", "b.wav"):
+        make_wav(ref / name)
+        make_wav(est / name, seed=2)
+    raw = bytearray((est / "b.wav").read_bytes())
+    raw[44 + 4 * 100:44 + 4 * 101] = struct.pack("<f", np.nan)    # sample 100
+    (est / "b.wav").write_bytes(bytes(raw))
+    out = tmp_path / "report.csv"
+    assert main(["evaluate", str(ref), str(est), "-o", str(out), "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"glavoc: error: {est / 'b.wav'}: samples contain non-finite values" in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- shared set-up
 
 def test_equal_configs_share_one_filterbank():
@@ -468,6 +486,30 @@ def test_one_process_computes_the_pseudo_inverse_once(tmp_path, capsys, monkeypa
     for run in ("s1", "s2"):
         assert main(["simulate", str(wav), "-o", str(tmp_path / run)] + short) == 0
     assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_vocode_gla_memory_stays_within_its_per_frame_bound(tmp_path, capsys, monkeypatch):
+    # README, Memory: at momentum, the lifted target (8.2 kB a frame) and
+    # two signals (4.8 kB a frame), besides a fixed 12 MB: 3.2 MB of chunk
+    # buffers for each of the two burst threads, 2 MB for the filterbank
+    # and its pseudo-inverse, the rest small arrays.  A stored iterate
+    # would add 16.4 kB a frame, a third signal 2.4 kB
+    wav, mels = tmp_path / "in.wav", tmp_path / "in.mels"
+    n = 20 * 22050
+    make_wav(wav, n=n)
+    assert main(["analyze", str(wav), "-o", str(mels)]) == 0
+    n_frames = StftParams().frames_for_length(n)
+    monkeypatch.setattr(dsp, "_cores", lambda: 2)
+    config._shared_filterbank.cache_clear()    # the filterbank is built inside the trace
+    tracemalloc.start()
+    try:
+        assert main(["vocode-gla", str(mels), "-o", str(tmp_path / "out.wav"),
+                     "--iters", "3", "--momentum", "0.99"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_frames * (8200 + 4800) + 12_000_000
     capsys.readouterr()
 
 

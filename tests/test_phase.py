@@ -268,7 +268,23 @@ def test_fgla_rejects_target_lengths_the_frames_do_not_describe():
 # ------------------------------------------------- one core behind every burst
 
 def reference_rounds(C, s_hat, iterations, momentum):
-    """The projection loop spelled out with the public projections."""
+    """The projection loop spelled out with the public transforms, momentum on the signal.
+
+    x_k = istft(P_mag(C_{k-1})), and C_k is the analysis of x_k + m (x_k - x_{k-1})
+    from the second round on, x_k alone before: analysis is linear, so
+    that is t_k + m (t_k - t_{k-1}) for the consistent iterates t_k.
+    """
+    x_prev = None
+    for _ in range(iterations):
+        x = istft(project_magnitude(C, s_hat)).samples
+        y = x + momentum * (x - x_prev) if momentum and x_prev is not None else x
+        C = stft(Waveform(y), C.params)
+        x_prev = x
+    return C
+
+
+def spectral_reference_rounds(C, s_hat, iterations, momentum):
+    """The same loop with momentum on the spectrogram, as Perraudin et al. write it."""
     t_prev = None
     for _ in range(iterations):
         t = project_consistent(project_magnitude(C, s_hat))
@@ -281,22 +297,24 @@ def reference_rounds(C, s_hat, iterations, momentum):
     return C
 
 
-def check_reference_loop(entry, momentum, n, iterations):
+def burst_and_reference(entry, momentum, n, iterations, rounds=reference_rounds):
+    """The output of burst ``entry`` and of the loop ``rounds`` on the same input."""
     y = Waveform(harmonic_signal(170.0, n=n, seed=15))
     s_hat = 1.2 * stft(y, P).magnitude()
     cfg = GlaConfig(iterations=iterations, momentum=momentum, seed=15)
     C0 = initial_spectrogram(s_hat, P, cfg)
     if entry == "gla":
-        got = gla(C0, s_hat, iterations).frames
-        want = reference_rounds(C0, s_hat, iterations, 0.0).frames
-    elif entry == "fgla":
-        got = fgla(s_hat, P, cfg, target_length=n).samples
-        final = project_magnitude(reference_rounds(C0, s_hat, iterations, momentum), s_hat)
-        want = istft(final, n).samples
-    else:
-        noise = Waveform(np.random.default_rng(16).standard_normal(n))
-        got = gla_correct(noise, s_hat, iterations, P, momentum).samples
-        want = istft(reference_rounds(stft(noise, P), s_hat, iterations, momentum), n).samples
+        return gla(C0, s_hat, iterations).frames, rounds(C0, s_hat, iterations, 0.0).frames
+    if entry == "fgla":
+        final = project_magnitude(rounds(C0, s_hat, iterations, momentum), s_hat)
+        return fgla(s_hat, P, cfg, target_length=n).samples, istft(final, n).samples
+    noise = Waveform(np.random.default_rng(16).standard_normal(n))
+    return (gla_correct(noise, s_hat, iterations, P, momentum).samples,
+            istft(rounds(stft(noise, P), s_hat, iterations, momentum), n).samples)
+
+
+def check_reference_loop(entry, momentum, n, iterations):
+    got, want = burst_and_reference(entry, momentum, n, iterations)
     assert np.array_equal(got, want)
 
 
@@ -308,6 +326,21 @@ BURST_ENTRIES = [
 @pytest.mark.parametrize("entry,momentum", BURST_ENTRIES)
 def test_bursts_match_the_reference_loop(entry, momentum):
     check_reference_loop(entry, momentum, 8000, 32)
+
+
+@pytest.mark.parametrize("iterations", (1, 2))
+@pytest.mark.parametrize("entry", ("fgla", "gla_correct"))
+def test_momentum_bursts_match_the_reference_loop_from_the_first_round(entry, iterations):
+    # one round keeps no previous signal; two take the first accelerated step
+    check_reference_loop(entry, 0.99, 8000, iterations)
+
+
+@pytest.mark.parametrize("entry", ("fgla", "gla_correct"))
+def test_signal_momentum_stays_near_the_spectral_update(entry):
+    # the two forms are equal in exact arithmetic; in floating point they
+    # drift apart by rounding alone, under 1e-13 of the output here
+    got, want = burst_and_reference(entry, 0.99, 8000, 32, spectral_reference_rounds)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(got))
 
 
 @pytest.mark.parametrize("cores", (2, 3))
@@ -330,14 +363,14 @@ def traced_peak(f):
 
 
 def test_burst_memory_stays_within_its_per_frame_bound(monkeypatch):
-    # README, Memory: besides the caller's target, a burst holds 18.8 kB a
-    # frame with momentum and 2.4 kB without, and about 3 MB of chunk
-    # buffers per thread; a second signal-length array would add 2.4 kB
-    # a frame, an iterate-sized one 16.4 kB
+    # README, Memory: besides the caller's target, a burst holds two
+    # signals, 4.8 kB a frame, with momentum and one, 2.4 kB, without, and
+    # about 3 MB of chunk buffers per thread; a stored iterate would add
+    # 16.4 kB a frame
     n_frames = 2000
     s_hat = np.random.default_rng(25).random((n_frames, P.n_bins))
     monkeypatch.setattr(dsp, "_cores", lambda: 2)
-    for momentum, per_frame in ((0.99, 21_000), (0.0, 5_000)):
+    for momentum, per_frame in ((0.99, 8_000), (0.0, 5_000)):
         peak = traced_peak(lambda: fgla(s_hat, P, GlaConfig(iterations=3, momentum=momentum)))
         assert peak < n_frames * per_frame + 2 * 3_000_000, momentum
 
