@@ -28,6 +28,7 @@ from .dsp import (
     hann_window,
     istft,
     stft,
+    stft_magnitude,
 )
 from .melscale import (
     MelFilterbank,

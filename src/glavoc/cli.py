@@ -9,6 +9,12 @@ config file that reproduces the run.
 parser on the first call and parses every later argv with that one;
 the filterbank of each geometry is shared the same way, through
 ``RunConfig.filterbank``.
+
+No command holds a complex spectrogram.  ``analyze`` and ``simulate``
+keep the magnitude their mel is taken from; ``evaluate`` and
+``simulate``'s report analyze the reference and the estimate in
+lockstep, a few frames at a time, and keep only the metrics' running
+sums.
 """
 
 import argparse
@@ -18,12 +24,14 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .audio_io import read_wav, write_wav
 from .config import RunConfig, load_config
 from .diffusion import OraclePredictor, ZeroPredictor
-from .dsp import Waveform, stft
+from .dsp import Waveform, _spectra, stft_magnitude
 from .melscale import MelSpectrogram, mel_spectrogram, pseudo_inverse_magnitude, read_mels, write_mels
-from .metrics import EvalReport, log_spectral_distance, snr, spectral_convergence
+from .metrics import EvalReport, SpectralSums, snr
 from .phase import fgla
 from .sampler import sample
 
@@ -178,7 +186,7 @@ def _make_predictor(spec_str, cfg):
 
 def cmd_analyze(args, cfg) -> int:
     wave = _read_wav_checked(args.wav, cfg)
-    mel = mel_spectrogram(stft(wave, cfg.stft_params()).magnitude(), cfg.filterbank())
+    mel = mel_spectrogram(stft_magnitude(wave, cfg.stft_params()), cfg.filterbank())
     write_mels(args.output, mel)
     return 0
 
@@ -205,8 +213,8 @@ def cmd_simulate(args, cfg) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.wav).stem
 
-    ref_mag = stft(wave, cfg.stft_params()).magnitude()
-    mel = mel_spectrogram(ref_mag, cfg.filterbank())
+    p = cfg.stft_params()
+    mel = mel_spectrogram(stft_magnitude(wave, p), cfg.filterbank())
     write_mels(outdir / f"{stem}.mels", mel)
 
     out = sample(OraclePredictor(wave), mel, cfg.sampler_config(),
@@ -214,33 +222,43 @@ def cmd_simulate(args, cfg) -> int:
     generated = f"{stem}_generated.wav"
     write_wav(outdir / generated, out, cfg.wav_spec())
 
-    row, est_mag = _scores(wave, ref_mag, out, cfg)
-    row["lsd_target"] = log_spectral_distance(pseudo_inverse_magnitude(mel), est_mag,
-                                              cfg.lsd_floor)
     report = EvalReport()
-    for metric, value in row.items():
+    for metric, value in _scores(wave.samples, out.samples, p, cfg.lsd_floor, mel).items():
         report.add(generated, metric, value)
     report.write_csv(outdir / "report.csv")
     return 0
 
 
-def _scores(ref, ref_mag, est, cfg):
-    """evaluate's metrics of ``est`` against ``ref`` and ``ref_mag``, and est's magnitude."""
-    est_mag = stft(est, cfg.stft_params()).magnitude()
-    return {
-        "snr": snr(ref, est),
-        "spectral_convergence": spectral_convergence(ref_mag, est_mag),
-        "lsd": log_spectral_distance(ref_mag, est_mag, cfg.lsd_floor),
-    }, est_mag
+def _scores(ref, est, p, floor, mel=None) -> dict:
+    """evaluate's metrics of the samples ``est`` against ``ref``, and lsd_target against ``mel``.
+
+    The two signals are analyzed in lockstep, a chunk of frames at a
+    time, and each chunk's magnitudes are scored and dropped, so no array
+    of frames x bins is held.  With ``mel``, each chunk of the estimate
+    is also scored against the same rows of the mel's lifted magnitude.
+    snr comes first, so a silent reference reports snr's error.
+    """
+    row = {"snr": snr(ref, est)}
+    pair, target = SpectralSums(floor), SpectralSums(floor)
+    for (r, R), (_, E) in zip(_spectra(ref, p), _spectra(est, p)):
+        est_mag = np.abs(E)
+        pair.add(np.abs(R), est_mag)
+        if mel is not None:    # these rows of pseudo_inverse_magnitude(mel)
+            lifted = mel.frames[r] @ mel.filterbank.pseudo_inverse.T
+            target.add(np.maximum(lifted, 0.0, out=lifted), est_mag)
+    row["spectral_convergence"] = pair.convergence()
+    row["lsd"] = pair.lsd()
+    if mel is not None:
+        row["lsd_target"] = target.lsd()
+    return row
 
 
-def _evaluate_pair(name, ref_dir, est_dir, cfg):
-    ref = _read_wav_checked(ref_dir / name, cfg)
-    est = _read_wav_checked(est_dir / name, cfg)
-    n = min(len(ref), len(est))
-    ref, est = Waveform(ref.samples[:n]), Waveform(est.samples[:n])
+def _evaluate_pair(name, ref_dir, est_dir, cfg, p):
+    ref = _read_wav_checked(ref_dir / name, cfg).samples
+    est = _read_wav_checked(est_dir / name, cfg).samples
+    n = min(len(ref), len(est))    # views of the samples read_wav checked
     try:
-        return name, _scores(ref, stft(ref, cfg.stft_params()).magnitude(), est, cfg)[0]
+        return name, _scores(ref[:n], est[:n], p, cfg.lsd_floor)
     except ValueError as exc:    # a metric undefined on this pair, such as a silent reference
         raise ValueError(f"{name}: {exc}") from exc
 
@@ -256,10 +274,11 @@ def cmd_evaluate(args, cfg) -> int:
         raise ValueError(
             f"{est_dir}: missing counterparts for {', '.join(missing)}"
         )
+    p = cfg.stft_params()    # one window, checked once, for every pair
     report = EvalReport()
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
         results = list(pool.map(
-            lambda n: _evaluate_pair(n, ref_dir, est_dir, cfg), names
+            lambda n: _evaluate_pair(n, ref_dir, est_dir, cfg, p), names
         ))
     for name, row in results:
         for metric, value in row.items():

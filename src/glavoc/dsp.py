@@ -24,7 +24,10 @@ Every transform works on a :class:`_StftPlan` built per call for one
 (parameters, signal length) pair: the window support, the hop-sized
 output cells, one padded signal and its reflect-pad edge map, and, for a
 synthesis, the squared-window normalizer, one table per cell class.
-:func:`stft` analyzes the padded signal CHUNK_ROWS frame rows at a time.
+Every analysis runs in one loop, :func:`_spectra`, ANALYSIS_ROWS frame
+rows at a time: :func:`stft` writes each chunk into its spectrogram, and
+:func:`stft_magnitude` keeps only each chunk's magnitude, as do the paired
+scores of :mod:`glavoc.cli`, which keep neither.
 Every synthesis runs in one engine, :func:`_project_rounds`:
 :func:`istft` with no rounds, the Griffin-Lim bursts of
 :mod:`glavoc.phase` with theirs.  A step is one pass, CHUNK_ROWS frame
@@ -39,15 +42,16 @@ beside the padded one instead of a spectrogram.  The reflect-pad edges
 are refreshed from the padded signal once a round, after every cell is
 written.
 Each array is scanned for finiteness once, by the :class:`ComplexSpectrogram`
-or :class:`Waveform` holding it, or by the engine if none does.
+or :class:`Waveform` holding it, or by the engine or the analysis loop if
+none does.
 
 A call with rounds splits the rows into contiguous blocks, one per core
 the process may run on while each holds MIN_BLOCK_SAMPLES frame samples
 and a window's worth of pieces, one thread each.  A block's thread
 writes the cells its rows finish, and the threads meet at one barrier
 after each pass, so nothing runs serially between rounds, and the
-output is byte-identical whatever the split.  :func:`stft` and a call
-with no rounds run on the calling thread.  Plans are never cached, so
+output is byte-identical whatever the split.  Analysis and a call with
+no rounds run on the calling thread.  Plans are never cached, so
 separate callers share no state.
 """
 
@@ -77,6 +81,16 @@ MIN_BLOCK_SAMPLES = 1 << 15
 # 194/190/193 ms of CPU time at chunks of 32/64/128 rows, 9 runs each,
 # with every size spread over 155-228 ms: none was measurably better.
 CHUNK_ROWS = 64
+
+# Frame rows an analysis takes at a time.  Its chunk buffers are made per
+# call, so they must stay small: glibc gives larger freed blocks back to
+# the kernel, and the next call faults them in again.  One process
+# cycling 12 `analyze` calls (1-5 s clips) and one `evaluate --jobs 2`
+# over them (2 vCPUs, glibc 2.36, one BLAS thread) took a median of 6-17
+# minor faults a cycle at 16 rows (256 kB of frames and 262 kB of spectra
+# a signal), 7,700 at 32 rows and 21,500 at 64, the engine's CHUNK_ROWS.
+# Analyzing into whole complex spectrograms, 64 rows at a time, took 13,100.
+ANALYSIS_ROWS = 16
 
 
 def hann_window(win_length: int) -> np.ndarray:
@@ -638,6 +652,30 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     return plan.sig[p.pad_amount:p.pad_amount + plan.length]
 
 
+def _spectra(x: np.ndarray, p: StftParams, out: np.ndarray = None):
+    """Yield (rows, spectra): the frames of the samples ``x``, ANALYSIS_ROWS rows at a time.
+
+    The one-sided spectra of each chunk land in ``out[rows]`` if ``out``
+    is given, a complex array of frames x bins whose holder checks it;
+    else in one chunk buffer that the next chunk overwrites, and a chunk
+    that is not finite raises ValueError.  Each row's rfft is independent
+    of the others, so the split changes no bit.
+    """
+    plan = _StftPlan(p, x.shape[0], p.frames_for_length(x.shape[0]))
+    plan.pad(x)
+    m = min(ANALYSIS_ROWS, plan.n_frames)
+    frames = plan.frame_buffer(m)
+    buf = np.empty((m, p.n_bins), dtype=np.complex128) if out is None else None
+    for r in _chunks(slice(0, plan.n_frames), ANALYSIS_ROWS):
+        C = buf[:r.stop - r.start] if out is None else out[r]
+        # an overflow is reported once, as a non-finite spectrogram
+        with np.errstate(over="ignore", invalid="ignore"):
+            plan.analyze_rows(r, frames, out=C)
+            if out is None and not np.isfinite(C).all():
+                raise ValueError("spectrogram contains non-finite values")
+        yield r, C
+
+
 def stft(y: Waveform, p: StftParams) -> ComplexSpectrogram:
     """Analyze a signal into a one-sided complex spectrogram.
 
@@ -645,15 +683,23 @@ def stft(y: Waveform, p: StftParams) -> ComplexSpectrogram:
     pad_total is the total reflect padding.  The map is linear in ``y``.
     """
     x = y.samples
-    plan = _StftPlan(p, x.shape[0], p.frames_for_length(x.shape[0]))
-    plan.pad(x)
-    X = np.empty((plan.n_frames, p.n_bins), dtype=np.complex128)
-    frames = plan.frame_buffer(min(CHUNK_ROWS, plan.n_frames))
-    # an overflow is reported once, by the ComplexSpectrogram
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in _chunks(slice(0, plan.n_frames), CHUNK_ROWS):
-            plan.analyze_rows(r, frames, out=X[r])
+    X = np.empty((p.frames_for_length(x.shape[0]), p.n_bins), dtype=np.complex128)
+    for _ in _spectra(x, p, out=X):
+        pass
     return ComplexSpectrogram(X, p, x.shape[0])
+
+
+def stft_magnitude(y: Waveform, p: StftParams) -> np.ndarray:
+    """``np.abs(stft(y, p).frames)``, bit for bit, without the complex spectrogram.
+
+    Holds the float64 magnitude (frames x bins) and chunk buffers of
+    ANALYSIS_ROWS rows.  Raises ValueError if the spectrogram is not finite.
+    """
+    x = y.samples
+    S = np.empty((p.frames_for_length(x.shape[0]), p.n_bins))
+    for r, C in _spectra(x, p):
+        np.abs(C, out=S[r])
+    return S
 
 
 def istft(C: ComplexSpectrogram, target_length: int | None = None) -> Waveform:

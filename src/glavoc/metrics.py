@@ -3,14 +3,20 @@
 Magnitude-domain convergence, log-spectral distance, time-domain SNR and
 spectrogram consistency.  Perceptual scores are deliberately left to the
 standard external tools; the generated WAVs feed straight into them.
+
+Convergence and log-spectral distance are defined once, as sums that
+:class:`SpectralSums` adds up over chunks of rows: the public functions
+feed it whole arrays a few rows at a time, and ``evaluate`` feeds it each
+chunk of frames as it analyzes them, so no pair is held whole.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import ComplexSpectrogram
+from .dsp import ANALYSIS_ROWS, ComplexSpectrogram
 from .phase import project_consistent
 
 DEFAULT_LSD_FLOOR = 1e-5
@@ -25,22 +31,62 @@ def _as_pair(a, b, what):
     return a, b
 
 
+class SpectralSums:
+    """Sums behind spectral convergence and log-spectral distance, added chunk by chunk.
+
+    :meth:`add` takes a chunk of rows of a reference and an estimated
+    magnitude and adds its Σ(ref − est)², Σref² and Σd², d the dB
+    log-ratio 20 log10((ref + floor) / (est + floor)), so a pair can be
+    scored a few frames at a time.  The sums run in another order than
+    over the whole arrays, so a score may differ in the last bits.
+    """
+
+    def __init__(self, floor: float = DEFAULT_LSD_FLOOR):
+        if not floor > 0.0:
+            raise ValueError(f"floor must be positive, got {floor}")
+        self.floor = floor
+        self.error = self.reference = self.log_ratio = 0.0
+        self.count = 0
+
+    def add(self, ref: np.ndarray, est: np.ndarray) -> None:
+        e = ref - est
+        self.error += float(np.vdot(e, e))
+        self.reference += float(np.vdot(ref, ref))
+        d = np.add(ref, self.floor, out=e)
+        d /= est + self.floor
+        np.log10(d, out=d)
+        d *= 20.0
+        self.log_ratio += float(np.vdot(d, d))
+        self.count += d.size
+
+    def convergence(self) -> float:
+        """Relative Frobenius error of the estimate."""
+        if self.reference == 0.0:
+            raise ValueError("spectral_convergence needs a nonzero reference")
+        return math.sqrt(self.error) / math.sqrt(self.reference)
+
+    def lsd(self) -> float:
+        """RMS log-magnitude ratio in dB."""
+        return math.sqrt(self.log_ratio / self.count)
+
+
+def _sums(s_ref, s_est, what, floor=DEFAULT_LSD_FLOOR) -> SpectralSums:
+    sums = SpectralSums(floor)
+    ref, est = _as_pair(s_ref, s_est, what)
+    ref, est = np.atleast_2d(ref), np.atleast_2d(est)
+    for r in range(0, ref.shape[0], ANALYSIS_ROWS):
+        sums.add(ref[r:r + ANALYSIS_ROWS], est[r:r + ANALYSIS_ROWS])
+    return sums
+
+
 def spectral_convergence(s_ref, s_est) -> float:
     """Relative Frobenius error of an estimated magnitude spectrogram."""
-    ref, est = _as_pair(s_ref, s_est, "spectral_convergence")
-    denom = np.linalg.norm(ref)
-    if denom == 0.0:
-        raise ValueError("spectral_convergence needs a nonzero reference")
-    return float(np.linalg.norm(ref - est) / denom)
+    return _sums(s_ref, s_est, "spectral_convergence").convergence()
 
 
 def log_spectral_distance(s_ref, s_est, floor: float = DEFAULT_LSD_FLOOR) -> float:
     """RMS log-magnitude ratio in dB, floored to keep silence finite."""
-    if not floor > 0.0:
-        raise ValueError(f"floor must be positive, got {floor}")
-    ref, est = _as_pair(s_ref, s_est, "log_spectral_distance")
-    d = 20.0 * np.log10((ref + floor) / (est + floor))
-    return float(np.sqrt(np.mean(d * d)))
+    return _sums(s_ref, s_est, "log_spectral_distance", floor).lsd()
 
 
 def snr(y_ref, y_est) -> float:

@@ -1,6 +1,21 @@
-"""Shared synthetic test signals."""
+"""Shared synthetic test signals and geometries."""
 
 import numpy as np
+
+from glavoc.dsp import StftParams
+
+# geometries whose frame rows split across chunks and threads in
+# different ways
+SPLIT_GEOMETRIES = {
+    "default": StftParams(),
+    "hop_not_dividing_window": StftParams(n_fft=512, hop=96, win_length=400),
+    "uncentered_rectangular": StftParams(n_fft=512, hop=100, win_length=300,
+                                         window=np.ones(300), center_padding=False),
+    # 512 pieces a window, so a block holds 512 rows or more
+    "small_hop": StftParams(n_fft=512, hop=1, win_length=512),
+    # the rows reading a reflect-pad edge span several blocks at 7 cores
+    "small_hop_short_window": StftParams(n_fft=512, hop=1, win_length=128),
+}
 
 
 def harmonic_signal(f0, sr=22050, n=22050, seed=0):

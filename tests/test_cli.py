@@ -513,6 +513,102 @@ def test_vocode_gla_memory_stays_within_its_per_frame_bound(tmp_path, capsys, mo
     capsys.readouterr()
 
 
+def test_analyze_memory_stays_within_its_per_frame_bound(tmp_path, capsys):
+    # README, Memory: the float64 magnitude (8.2 kB a frame), the mel in
+    # float64 and its float32 copy for the file (12 B a band), and the
+    # samples with their padded copy (16 B a sample), besides a fixed 2 MB:
+    # 1 MB for the filterbank, 0.5 MB of chunk buffers, the rest small
+    # arrays.  A complex spectrogram would add 16.4 kB a frame
+    wav, mels = tmp_path / "in.wav", tmp_path / "in.mels"
+    n = 20 * 22050
+    make_wav(wav, n=n)
+    n_frames = StftParams().frames_for_length(n)
+    config._shared_filterbank.cache_clear()    # the filterbank is built inside the trace
+    tracemalloc.start()
+    try:
+        assert main(["analyze", str(wav), "-o", str(mels)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_frames * (8200 + 12 * 128) + 16 * n + 2_000_000
+    capsys.readouterr()
+
+
+def test_evaluate_memory_is_set_by_the_samples(tmp_path, capsys):
+    # the pair's samples with either their padded copies or snr's two
+    # temporaries (32 B a sample), the bytes read from the files (6 B a
+    # sample), besides a fixed 2 MB for chunk buffers and small arrays: no
+    # term grows with frames x bins, where two magnitudes alone would take
+    # 16.4 kB a frame
+    ref, est = tmp_path / "ref", tmp_path / "est"
+    ref.mkdir()
+    est.mkdir()
+    n = 20 * 22050
+    make_wav(ref / "a.wav", n=n)
+    y = 0.9 * read_wav(ref / "a.wav")[0].samples
+    write_wav(est / "a.wav", Waveform(y), WavSpec(22050, "pcm16"))
+    tracemalloc.start()
+    try:
+        assert main(["evaluate", str(ref), str(est), "-o", str(tmp_path / "r.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n + 2_000_000
+    capsys.readouterr()
+
+
+def test_evaluate_scans_each_file_once_and_the_window_once_a_run(tmp_path, capsys, monkeypatch):
+    ref, est = tmp_path / "ref", tmp_path / "est"
+    ref.mkdir()
+    est.mkdir()
+    make_wav(ref / "a.wav", n=9000)
+    make_wav(est / "a.wav", n=8000, seed=2)
+    isfinite = np.isfinite
+
+    def scans():
+        # sizes of the 1-D arrays np.isfinite scans in one evaluate run
+        sizes = []
+        monkeypatch.setattr(np, "isfinite", lambda x, *a, **k: (
+            sizes.append(np.size(x)) if np.ndim(x) == 1 else None) or isfinite(x, *a, **k))
+        try:
+            assert main(["evaluate", str(ref), str(est), "-o", str(tmp_path / "r.csv")]) == 0
+        finally:
+            monkeypatch.setattr(np, "isfinite", isfinite)
+        return sorted(sizes)
+
+    win = StftParams().win_length
+    one = scans()
+    # read_wav's scan of each file; the trimmed samples are views, not scanned again
+    assert [s for s in one if s != win] == [8000, 9000]
+    make_wav(ref / "b.wav", n=7000, seed=3)
+    make_wav(est / "b.wav", n=7000, seed=4)
+    three = scans()
+    assert [s for s in three if s != win] == [7000, 7000, 8000, 9000]
+    assert three.count(win) == one.count(win)    # no window is built per pair
+    capsys.readouterr()
+
+
+def test_analyze_matches_a_plain_numpy_mel(tmp_path, capsys):
+    # reflect-pad, frame, window, rfft, abs, filterbank, float32: written out
+    # with numpy alone, with no chunking, bit for bit
+    wav, mels = tmp_path / "in.wav", tmp_path / "in.mels"
+    make_wav(wav, n=3 * 22050 + 17)
+    x = read_wav(wav)[0].samples
+    p, cfg = StftParams(), RunConfig()
+    n_frames = p.frames_for_length(len(x))
+    padded = np.pad(x, p.n_fft // 2, mode="reflect")
+    padded = np.concatenate([padded, np.zeros((n_frames - 1) * p.hop + p.n_fft - len(padded))])
+    frames = np.stack([padded[t * p.hop:t * p.hop + p.n_fft] for t in range(n_frames)])
+    magnitude = np.abs(np.fft.rfft(frames * p.padded_window(), axis=1))
+    weights = mel_filterbank(cfg.sample_rate, p.n_fft, cfg.n_mels, cfg.f_min, cfg.f_max).weights
+    expect = (magnitude @ weights.T).astype(np.float32)
+    assert main(["analyze", str(wav), "-o", str(mels)]) == 0
+    got = read_mels(mels)[0].astype(np.float32)
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+    capsys.readouterr()
+
+
 def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert main([]) == 1
     built = []

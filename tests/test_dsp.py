@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from signals import SPLIT_GEOMETRIES
+
 from glavoc.dsp import (
+    ANALYSIS_ROWS,
     ComplexSpectrogram,
     StftParams,
     Waveform,
@@ -15,6 +18,7 @@ from glavoc.dsp import (
     hann_window,
     istft,
     stft,
+    stft_magnitude,
 )
 
 
@@ -187,6 +191,27 @@ def test_stft_matches_brute_force_dft():
             assert abs(spec[t, k] - ref) < 1e-10
 
 
+@pytest.mark.parametrize("name", sorted(SPLIT_GEOMETRIES))
+def test_magnitude_analysis_is_the_abs_of_stft_bit_for_bit(name):
+    p = SPLIT_GEOMETRIES[name]
+    rng = np.random.default_rng(p.n_fft + p.hop)
+    fewest = p.frames_for_length(1)    # 386 for the short window at hop 1
+    whole = ANALYSIS_ROWS * (fewest // ANALYSIS_ROWS + 3)
+    lengths = {
+        "one sample": 1,
+        "whole chunks": p.max_length_for_frames(whole),
+        # 5 s at 22.05 kHz; at hop 1, where that is 110k frames, 9 more chunks and a part
+        "long": 5 * 22050 if p.hop > 1 else p.max_length_for_frames(whole + 9 * ANALYSIS_ROWS + 5),
+    }
+    if fewest < ANALYSIS_ROWS - 1:
+        lengths["under one chunk"] = p.max_length_for_frames(ANALYSIS_ROWS - 1)
+    for what, n in lengths.items():
+        y = Waveform(rng.standard_normal(n))
+        S = stft_magnitude(y, p)
+        assert S.dtype == np.float64 and S.shape == (p.frames_for_length(n), p.n_bins), what
+        assert S.tobytes() == np.abs(stft(y, p).frames).tobytes(), what
+
+
 def test_stft_pure_tone_concentrates_on_its_bin():
     p = default_params()
     sr = 22050
@@ -300,6 +325,11 @@ def test_transform_overflow_raises_one_error_and_no_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             stft(Waveform(np.full(4096, 1e308)), p)
+        # the overflow reaches only the last chunk's frames
+        late = np.zeros(p.max_length_for_frames(3 * ANALYSIS_ROWS))
+        late[-p.n_fft:] = 1e308
+        with pytest.raises(ValueError, match="spectrogram contains non-finite values"):
+            stft_magnitude(Waveform(late), p)
         with pytest.raises(ValueError, match="non-finite"):
             istft(huge)
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from glavoc.dsp import ComplexSpectrogram, StftParams, Waveform, stft
+from glavoc.dsp import ANALYSIS_ROWS, ComplexSpectrogram, StftParams, Waveform, stft
 from glavoc.metrics import (
     EvalReport,
+    SpectralSums,
     consistency_error,
     log_spectral_distance,
     snr,
@@ -62,6 +63,32 @@ def test_spectral_convergence_is_asymmetric():
     a = rng.random((4, 4)) + 0.5
     b = 3.0 * a
     assert spectral_convergence(a, b) != spectral_convergence(b, a)
+
+
+# ------------------------------------------------------------- chunked sums
+
+def test_chunked_metrics_match_the_whole_array_formulas():
+    rng = np.random.default_rng(8)
+    ref = rng.random((5 * ANALYSIS_ROWS + 3, 257))
+    est = np.abs(ref + 0.2 * rng.standard_normal(ref.shape))
+    ref[:, :3] = est[7, 5:9] = 0.0    # silent bins on both sides
+    floor = 1e-5
+    pairs = {"rows": (ref, est), "strided": (ref[:, ::3], est[:, ::3]),
+             "one row": (ref[4], est[4]), "one chunk": (ref[:ANALYSIS_ROWS], est[:ANALYSIS_ROWS])}
+    for what, (a, b) in pairs.items():
+        sc = np.linalg.norm(a - b) / np.linalg.norm(a)
+        d = 20.0 * np.log10((a + floor) / (b + floor))
+        lsd = np.sqrt(np.mean(d * d))
+        assert abs(spectral_convergence(a, b) - sc) <= 1e-12 * sc, what
+        assert abs(log_spectral_distance(a, b, floor) - lsd) <= 1e-12 * lsd, what
+    # any split into chunks of rows gives the same sums, to rounding
+    sums = SpectralSums(floor)
+    for r0, r1 in ((0, 1), (1, 30), (30, 31), (31, len(ref))):
+        sums.add(ref[r0:r1], est[r0:r1])
+    assert abs(sums.convergence() - spectral_convergence(ref, est)) <= 1e-12 * sums.convergence()
+    assert abs(sums.lsd() - log_spectral_distance(ref, est, floor)) <= 1e-12 * sums.lsd()
+    with pytest.raises(ValueError, match="nonzero reference"):
+        SpectralSums().convergence()
 
 
 # ------------------------------------------------------------------------- snr

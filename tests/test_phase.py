@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from signals import harmonic_signal
+from signals import SPLIT_GEOMETRIES, harmonic_signal
 
 import glavoc.dsp as dsp
 from glavoc.dsp import ComplexSpectrogram, StftParams, Waveform, istft, stft
@@ -541,18 +541,6 @@ def test_fgla_rejects_mels_no_signal_produces():
 
 
 # ------------------------------------------------- row blocks across threads
-
-SPLIT_GEOMETRIES = {
-    "default": StftParams(),
-    "hop_not_dividing_window": StftParams(n_fft=512, hop=96, win_length=400),
-    "uncentered_rectangular": StftParams(n_fft=512, hop=100, win_length=300,
-                                         window=np.ones(300), center_padding=False),
-    # 512 pieces a window, so a block holds 512 rows or more
-    "small_hop": StftParams(n_fft=512, hop=1, win_length=512),
-    # the rows reading a reflect-pad edge span several blocks at 7 cores
-    "small_hop_short_window": StftParams(n_fft=512, hop=1, win_length=128),
-}
-
 
 def burst_outputs(p, n_frames, length=None, iterations=3):
     rng = np.random.default_rng(p.n_fft + p.hop)
