@@ -243,9 +243,9 @@ def _scores(ref, est, p, floor, mel=None) -> dict:
     for (r, R), (_, E) in zip(_spectra(ref, p), _spectra(est, p)):
         est_mag = np.abs(E)
         pair.add(np.abs(R), est_mag)
-        if mel is not None:    # these rows of pseudo_inverse_magnitude(mel)
-            lifted = mel.frames[r] @ mel.filterbank.pseudo_inverse.T
-            target.add(np.maximum(lifted, 0.0, out=lifted), est_mag)
+        if mel is not None:
+            target.add(pseudo_inverse_magnitude(MelSpectrogram(mel.frames[r], mel.filterbank)),
+                       est_mag)
     row["spectral_convergence"] = pair.convergence()
     row["lsd"] = pair.lsd()
     if mel is not None:

@@ -29,7 +29,7 @@ rows at a time: :func:`stft` writes each chunk into its spectrogram, and
 :func:`stft_magnitude` keeps only each chunk's magnitude, as do the paired
 scores of :mod:`glavoc.cli`, which keep neither.
 Every synthesis runs in one engine, :func:`_project_rounds`:
-:func:`istft` with no rounds, the Griffin-Lim bursts of
+:func:`istft` with no rounds or target, the Griffin-Lim bursts of
 :mod:`glavoc.phase` with theirs.  A step is one pass, CHUNK_ROWS frame
 rows at a time through analysis, magnitude projection and synthesis,
 summing each frame's windowed pieces into its output cells.  A frame
@@ -494,8 +494,8 @@ def _put_phase(X: np.ndarray, phase: np.ndarray, s: np.ndarray) -> None:
 
 
 def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentum: float,
-                    X: np.ndarray = None, seed: int = None, project: bool = False) -> np.ndarray:
-    """Run ``iterations`` projection rounds; return the signal of the last iterate.
+                    X: np.ndarray = None, seed: int = None) -> np.ndarray:
+    """Run ``iterations`` projection rounds; return the signal of the last projection.
 
     A round is t_k = P_C(P_mag(C_{k-1})).  With momentum m > 0 the next
     iterate is C_k = t_k + m (t_k - t_{k-1}) from the second round on
@@ -504,13 +504,13 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     P_mag(C_{k-1}), and analysis is linear, so C_k is the analysis of
     x_k + m (x_k - x_{k-1}): the momentum acts on the synthesized samples.
     C_0 is ``X``, a validated complex array the caller gives up (read
-    only when no round runs and ``project`` is off); or s_hat under the
-    phases ``np.random.default_rng(seed).uniform(-pi, pi)`` draws in
-    row-major order; or, with neither, the analysis of the plan's padded
-    signal.  ``s_hat`` may be None if no magnitude is projected.  The last
-    iterate, after one more magnitude projection if ``project``, is
-    synthesized, and the output region of the padded signal returned.
-    Unless ``X`` is given, raises ValueError if the last iterate is not finite.
+    only when ``s_hat`` is None); or s_hat under the phases
+    ``np.random.default_rng(seed).uniform(-pi, pi)`` draws in row-major
+    order; or, with neither, the analysis of the plan's padded signal.
+    Every pass, the last too, projects onto ``s_hat`` when it is given,
+    and the output region of the padded signal is returned: a burst ends
+    in the synthesis of its last magnitude projection.  Unless ``X`` is
+    given, raises ValueError if the last iterate is not finite.
 
     Each step is one pass on the threads of :func:`_row_blocks`, one row
     block each; a call with no rounds runs as one block on the calling
@@ -602,7 +602,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                 # the rows from c1 on are neither projected nor synthesized
                 n = min(n, max(0, c1 - r.start))
                 C = C[:n]
-                if not last or project:    # start round k + 1 from C_k
+                if s_hat is not None:    # P_mag(C_k): round k + 1's start, or the output
                     _set_magnitude(C, s_hat[r.start:r.start + n], ratio[:n])
                 if n:
                     support = plan.synthesize_rows(C, waves)

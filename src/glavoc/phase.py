@@ -9,7 +9,10 @@ and inside the corrected sampler's early steps.
 Every burst of rounds, from :func:`gla`, :func:`fgla` and the sampler's
 correction :func:`gla_correct`, runs in the synthesis engine,
 :func:`glavoc.dsp._project_rounds`, from the starting iterate (or the
-first analysis) to a signal, which :func:`gla` analyzes with :func:`stft`.
+first analysis) to the synthesis of its last magnitude projection, never
+of an extrapolated iterate (Griffin and Lim, 1984; Perraudin et al.,
+2013), which :func:`gla` analyzes with :func:`stft`.  K rounds of
+:func:`gla` or :func:`gla_correct` take K passes.
 Momentum acts on the synthesized signals: the analysis of
 x_k + m (x_k - x_{k-1}) is the accelerated iterate, so a burst keeps a
 second signal, not the previous iterate.
@@ -105,8 +108,8 @@ def gla(C0: ComplexSpectrogram, s_hat: np.ndarray, iterations: int) -> ComplexSp
         return C0
     C0.params.check_length(C0.n_frames, C0.origin_length)
     plan = _StftPlan(C0.params, C0.origin_length, C0.n_frames)
-    return stft(Waveform(_project_rounds(plan, s, iterations - 1, 0.0, X=C0.frames.copy(),
-                                         project=True)), C0.params)
+    return stft(Waveform(_project_rounds(plan, s, iterations - 1, 0.0, X=C0.frames.copy())),
+                C0.params)
 
 
 def gla_correct(
@@ -118,20 +121,17 @@ def gla_correct(
 ) -> Waveform:
     """Pull a waveform toward a magnitude target by K projection rounds.
 
-    Analyze, run K composed (consistency after magnitude) projections,
-    synthesize back at the same length.  K=0 is the bare analysis round
-    trip, the identity up to floating point.  Positive momentum applies
-    the accelerated variant across the K rounds, on the signals as in
-    :func:`fgla`.  At momentum 0 the last
-    pass only analyzes the K-th round's signal and synthesizes it back, a
-    round trip that changes rounding alone (about 2e-16 relative on a 3 s
-    clip); it is kept so outputs stay byte-identical.
+    :func:`fgla`'s K - 1 rounds and final projection, momentum included,
+    started from the analysis of ``y`` and synthesized at its length.
+    K=0 is the bare analysis round trip, the identity up to floating point.
     """
     _check_rounds(iterations, momentum)
     plan = _StftPlan(params, len(y), params.frames_for_length(len(y)))
     s = _check_magnitude(s_hat, plan.n_frames, params.n_bins)
     plan.pad(y.samples)
-    return Waveform(_project_rounds(plan, s, iterations, momentum))
+    if iterations == 0:
+        return Waveform(_project_rounds(plan, None, 0, 0.0))
+    return Waveform(_project_rounds(plan, s, iterations - 1, momentum))
 
 
 def initial_spectrogram(
@@ -166,15 +166,13 @@ def fgla(
     instead of t_{k-1}, and its output is the spectral update's to about
     1e-13 relative at 32 rounds.  The first step runs unaccelerated so
     momentum only ever differences two consistent iterates; kicking it
-    off from the raw (inconsistent) init measurably hurts convergence.  Momentum 0 reduces exactly to plain
-    Griffin-Lim.  One final magnitude projection before synthesis keeps
-    the emitted signal as close to the target magnitude as the last phase
-    estimate allows.  ``target_length`` (default: the longest signal the
-    frame count describes) keeps that many leading samples, at the rate
-    of the mel the magnitudes came from.
+    off from the raw (inconsistent) init measurably hurts convergence.
+    Momentum 0 reduces exactly to plain Griffin-Lim.  ``target_length``
+    (default: the longest signal the frame count describes) keeps that
+    many leading samples, at the rate of the mel the magnitudes came from.
     """
     s = _check_target(s_hat, params)
     target_length = params.synthesis_length(s.shape[0], target_length)
     plan = _StftPlan(params, params.max_length_for_frames(s.shape[0]), s.shape[0])
-    out = _project_rounds(plan, s, cfg.iterations, cfg.momentum, seed=cfg.seed, project=True)
+    out = _project_rounds(plan, s, cfg.iterations, cfg.momentum, seed=cfg.seed)
     return Waveform(out[:target_length])

@@ -81,11 +81,16 @@ GEOMETRIES = {
 }
 
 
-def split_transforms(mp, chunk_rows, cores):
-    # a transform runs no rounds, so it stays one block however many cores
-    mp.setattr(dsp, "CHUNK_ROWS", chunk_rows)
+def split_transforms(mp, rows_name, rows, cores):
+    # chunks of `rows` frame rows; a transform runs no rounds, so it stays
+    # on the calling thread however many cores
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    mp.setattr(dsp, rows_name, rows)
     mp.setattr(dsp, "_cores", lambda: cores)
     mp.setattr(dsp, "MIN_BLOCK_SAMPLES", 1)
+    mp.setattr(dsp.threading, "Thread", no_thread)
 
 
 def check_stft(name):
@@ -117,18 +122,19 @@ def test_istft_matches_loop_reference(name):
 
 
 @pytest.mark.parametrize("cores", (1, 3))
-@pytest.mark.parametrize("chunk_rows", (1, 3, 64))
+@pytest.mark.parametrize("rows", (1, 3, 64))
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
-def test_split_stft_matches_loop_reference(name, chunk_rows, cores, monkeypatch):
-    split_transforms(monkeypatch, chunk_rows, cores)
+def test_split_stft_matches_loop_reference(name, rows, cores, monkeypatch):
+    # analysis chunks by ANALYSIS_ROWS; 64 rows take every geometry here in one chunk
+    split_transforms(monkeypatch, "ANALYSIS_ROWS", rows, cores)
     check_stft(name)
 
 
 @pytest.mark.parametrize("cores", (1, 3))
-@pytest.mark.parametrize("chunk_rows", (1, 3, 64))
+@pytest.mark.parametrize("rows", (1, 3, 64))
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
-def test_split_istft_matches_loop_reference(name, chunk_rows, cores, monkeypatch):
-    split_transforms(monkeypatch, chunk_rows, cores)
+def test_split_istft_matches_loop_reference(name, rows, cores, monkeypatch):
+    split_transforms(monkeypatch, "CHUNK_ROWS", rows, cores)
     check_istft(name)
 
 

@@ -309,8 +309,8 @@ def burst_and_reference(entry, momentum, n, iterations, rounds=reference_rounds)
         final = project_magnitude(rounds(C0, s_hat, iterations, momentum), s_hat)
         return fgla(s_hat, P, cfg, target_length=n).samples, istft(final, n).samples
     noise = Waveform(np.random.default_rng(16).standard_normal(n))
-    return (gla_correct(noise, s_hat, iterations, P, momentum).samples,
-            istft(rounds(stft(noise, P), s_hat, iterations, momentum), n).samples)
+    final = project_magnitude(rounds(stft(noise, P), s_hat, iterations - 1, momentum), s_hat)
+    return gla_correct(noise, s_hat, iterations, P, momentum).samples, istft(final, n).samples
 
 
 def check_reference_loop(entry, momentum, n, iterations):
@@ -424,15 +424,15 @@ def test_each_frame_is_synthesized_once_a_pass(name, cores, monkeypatch):
         assert rows[0] == 4 * live
         rows[0] = 0
         gla_correct(y, s_hat, 3, p, momentum)
-        assert rows[0] == 4 * live
+        assert rows[0] == 3 * live
     rows[0] = 0
     gla(C0, s_hat, 3)
     assert rows[0] == 3 * live
 
 
 def test_a_burst_waits_at_a_barrier_once_a_round(monkeypatch):
-    # one full barrier a round for each block's thread, none after the last;
-    # gla's last round ends in an stft on the calling thread
+    # one full barrier between passes for each block's thread, none after
+    # the last: fgla takes K + 1 passes, gla and gla_correct K
     n_frames = 3 * dsp.MIN_BLOCK_SAMPLES // P.n_fft
     s_hat = np.random.default_rng(29).random((n_frames, P.n_bins))
     y = Waveform(np.random.default_rng(29).standard_normal(P.max_length_for_frames(n_frames)))
@@ -448,7 +448,7 @@ def test_a_burst_waits_at_a_barrier_once_a_round(monkeypatch):
     monkeypatch.setattr(dsp, "_cores", lambda: 3)
     assert len(dsp._row_blocks(burst_plan(P, n_frames))) == 3
     for run, rounds in ((lambda: fgla(s_hat, P, GlaConfig(iterations=5, momentum=0.99)), 5),
-                        (lambda: gla_correct(y, s_hat, 5, P), 5),
+                        (lambda: gla_correct(y, s_hat, 5, P), 4),
                         (lambda: gla(initial_spectrogram(s_hat, P, GlaConfig()), s_hat, 5), 4)):
         waits.clear()
         run()
@@ -641,14 +641,15 @@ def test_bursts_are_identical_under_any_row_split(data):
 
 
 def test_a_pass_with_no_rounds_starts_no_thread(monkeypatch):
-    # transforms, zero-round bursts and one-round gla run on the calling
-    # thread at any core count
+    # transforms, zero-round bursts and one-round gla and gla_correct run
+    # on the calling thread at any core count
     y = Waveform(np.random.default_rng(22).standard_normal(40000))
     s_hat = 1.1 * stft(y, P).magnitude()
 
     def outputs():
         C = stft(y, P)
         return [C.frames, istft(C).samples, gla_correct(y, s_hat, 0, P).samples,
+                gla_correct(y, s_hat, 1, P).samples,
                 fgla(s_hat, P, GlaConfig(iterations=0)).samples, gla(C, s_hat, 1).frames]
 
     def no_thread(*args, **kwargs):
