@@ -109,10 +109,27 @@ def forward_diffuse(y0: Waveform, alpha_bar: float, eps: Waveform) -> Waveform:
 
 def oracle_epsilon(y_n: Waveform, y0: Waveform, alpha_bar: float) -> Waveform:
     """Invert the closed form: the exact noise that produced y_n from y0."""
+    _check_oracle_alpha(alpha_bar)
+    _check_same_length(y_n, y0, "oracle_epsilon")
+    return _oracle_epsilon(y_n, y0.samples, alpha_bar)
+
+
+def _check_oracle_alpha(alpha_bar: float) -> None:
     if not (0.0 < alpha_bar < 1.0):
         raise ValueError(f"alpha_bar must lie strictly in (0, 1), got {alpha_bar}")
-    _check_same_length(y_n, y0, "oracle_epsilon")
-    eps = (y_n.samples - np.sqrt(alpha_bar) * y0.samples) / np.sqrt(1.0 - alpha_bar)
+
+
+def _oracle_epsilon(y_n: Waveform, y0: np.ndarray, alpha_bar: float) -> Waveform:
+    """:func:`oracle_epsilon` against the samples ``y0``, taken as zero past their end.
+
+    Built in one array: sqrt(abar) y0, then y_n minus it, then the division.
+    """
+    m = min(y0.shape[0], len(y_n))
+    eps = np.empty(len(y_n))
+    np.multiply(np.sqrt(alpha_bar), y0[:m], out=eps[:m])
+    eps[m:] = 0.0
+    np.subtract(y_n.samples, eps, out=eps)
+    eps /= np.sqrt(1.0 - alpha_bar)
     return Waveform(eps)
 
 
@@ -148,7 +165,9 @@ class NoisePredictor:
     """Estimates the noise content of a corrupted signal.
 
     Implementations must be read-only after construction so concurrent
-    sampling runs can share them.
+    sampling runs can share them.  ``y_n`` holds the sampler's working
+    signal, which the step overwrites once the call has returned: keep no
+    reference to it.
     """
 
     def predict(self, y_n: Waveform, mel: MelSpectrogram, sqrt_alpha_bar: float) -> Waveform:
@@ -167,24 +186,19 @@ class OraclePredictor(NoisePredictor):
 
     Stands in for a trained network: with it the reverse chain is exact,
     which pins down the sampler arithmetic end to end.  A reference
-    shorter or longer than the query is zero-padded or truncated.
+    shorter or longer than the query is read as zero-padded or truncated,
+    without a copy.
     """
 
     def __init__(self, reference: Waveform):
         self.reference = reference
 
-    def _matched(self, n: int) -> Waveform:
-        ref = self.reference.samples
-        if ref.shape[0] == n:
-            return self.reference
-        if ref.shape[0] > n:
-            return Waveform(ref[:n])
-        return Waveform(np.concatenate([ref, np.zeros(n - ref.shape[0])]))
-
     def predict(self, y_n, mel, sqrt_alpha_bar):
         if not (0.0 < sqrt_alpha_bar < 1.0):
             raise ValueError("oracle prediction needs sqrt_alpha_bar strictly in (0, 1)")
-        return oracle_epsilon(y_n, self._matched(len(y_n)), sqrt_alpha_bar ** 2)
+        alpha_bar = sqrt_alpha_bar ** 2
+        _check_oracle_alpha(alpha_bar)
+        return _oracle_epsilon(y_n, self.reference.samples, alpha_bar)
 
 
 def wavegrad_loss(

@@ -23,7 +23,9 @@ that analyze back to exactly n frames, which a projection round needs.
 Every transform works on a :class:`_StftPlan` built per call for one
 (parameters, signal length) pair: the window support, the hop-sized
 output cells, one padded signal and its reflect-pad edge map, and, for a
-synthesis, the squared-window normalizer, one table per cell class.
+synthesis, the squared-window normalizer, one table per cell class.  The
+corrected sampler builds one plan per utterance and runs every burst in
+its padded signal.
 Every analysis runs in one loop, :func:`_spectra`, ANALYSIS_ROWS frame
 rows at a time: :func:`stft` writes each chunk into its spectrogram, and
 :func:`stft_magnitude` keeps only each chunk's magnitude, as do the paired
@@ -32,7 +34,8 @@ Every synthesis runs in one engine, :func:`_project_rounds`:
 :func:`istft` with no rounds or target, the Griffin-Lim bursts of
 :mod:`glavoc.phase` with theirs.  A step is one pass, CHUNK_ROWS frame
 rows at a time through analysis, magnitude projection and synthesis,
-summing each frame's windowed pieces into its output cells.  A frame
+in one frame buffer and one spectrum buffer per thread, summing each
+frame's windowed pieces into its output cells.  A frame
 reads only the cells it adds to, so once a chunk's rows are done the
 cells below them are finished, and their normalized samples go straight
 back into the padded signal the step reads.  Momentum acts there, on
@@ -41,9 +44,9 @@ is the accelerated iterate, and a burst keeps the plain signal x_{k-1}
 beside the padded one instead of a spectrogram.  The reflect-pad edges
 are refreshed from the padded signal once a round, after every cell is
 written.
-Each array is scanned for finiteness once, by the :class:`ComplexSpectrogram`
-or :class:`Waveform` holding it, or by the engine or the analysis loop if
-none does.
+Each array is scanned for finiteness by the :class:`ComplexSpectrogram`
+or :class:`Waveform` holding it, or by the analysis loop if none does;
+the engine scans the signal of every burst it started itself.
 
 A call with rounds splits the rows into contiguous blocks, one per core
 the process may run on while each holds MIN_BLOCK_SAMPLES frame samples
@@ -283,8 +286,9 @@ class _StftPlan:
     ``length`` is the signal length analyzed from, or synthesized to, and
     ``n_frames`` the spectrogram frame count.  ``sig`` is the one padded
     signal: the signal from sample ``pad_amount`` on, reflect-padded at
-    both ends and zero past that.  Analysis reads its frames, and
-    synthesis writes finished samples back into it in place.
+    both ends and zero past that; ``x`` views the signal itself, the
+    output region.  Analysis reads its frames, and synthesis writes
+    finished samples back into it in place.
 
     :meth:`analyze_rows` windows a slice of frame rows of the signal
     through an n_fft-wide buffer and takes their rfft;
@@ -311,6 +315,7 @@ class _StftPlan:
         self.norm = None
         self.sig = np.empty((n_frames - 1) * p.hop + p.n_fft)
         self.sig[length + 2 * p.pad_amount:] = 0.0
+        self.x = self.sig[p.pad_amount:p.pad_amount + length]    # the output region
         self.windows = np.lib.stride_tricks.sliding_window_view(
             self.sig[left:], p.win_length)[::p.hop][:n_frames]
         self.edge_src = self.edge_dst = None
@@ -318,9 +323,13 @@ class _StftPlan:
     def frame_buffer(self, rows: int) -> np.ndarray:
         """An n_fft-wide buffer of ``rows`` frames, zero outside the window support."""
         buf = np.empty((rows, self.p.n_fft))
+        self.clear_margins(buf)
+        return buf
+
+    def clear_margins(self, buf: np.ndarray) -> None:
+        """Zero the columns of ``buf`` outside the window support, as analysis expects."""
         buf[:, :self.support.start] = 0.0
         buf[:, self.support.stop:] = 0.0
-        return buf
 
     def _build_norm(self) -> list:
         """Squared-window overlap-add sums over the output region, one table per cell class.
@@ -379,8 +388,7 @@ class _StftPlan:
 
     def pad(self, x: np.ndarray) -> None:
         """Reflect-pad ``x`` into the padded signal."""
-        pad = self.p.pad_amount
-        self.sig[pad:pad + self.length] = x
+        self.x[...] = x
         self.refresh_edges()
 
     def refresh_edges(self) -> None:
@@ -510,7 +518,8 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     Every pass, the last too, projects onto ``s_hat`` when it is given,
     and the output region of the padded signal is returned: a burst ends
     in the synthesis of its last magnitude projection.  Unless ``X`` is
-    given, raises ValueError if the last iterate is not finite.
+    given, raises ValueError, whatever the round count, if that signal is
+    not finite.  The plan's normalizer is built on its first call.
 
     Each step is one pass on the threads of :func:`_row_blocks`, one row
     block each; a call with no rounds runs as one block on the calling
@@ -551,23 +560,22 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                              for b in blocks[1:]]
     cuts = [min(max(h.stop, c0), c1) for h in heads]
     cell_blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [c1])]
-    plan.norm = plan._build_norm()
+    if plan.norm is None:
+        plan.norm = plan._build_norm()
     # only a pass that another follows waits, so the last one writes no edge
     barrier = threading.Barrier(len(blocks), action=plan.refresh_edges)
     ready = [threading.Semaphore(0) for _ in blocks]    # block i's kept rows are done
     kept = [None] * len(blocks)
-    finite = [True] * len(blocks)
     errors = [None] * len(blocks)
 
     def run(i: int) -> None:
         rows, head, cells = blocks[i], heads[i], cell_blocks[i]
         shared = heads[i + 1] if i + 1 < len(blocks) else slice(0, 0)    # rows of block i + 1
         m = min(CHUNK_ROWS, rows.stop - rows.start)
-        frames = plan.frame_buffer(m) if iterations or analyze_first else None
+        frames = plan.frame_buffer(m)    # a chunk's analysis reads it, its synthesis fills it
         spectra = np.empty((m, p.n_bins), dtype=np.complex128) if iterations or X is None else None
-        waves = np.empty((m, p.n_fft))
-        # a projection's |C| is spent before the chunk's irfft fills waves
-        ratio = waves.reshape(-1)[:m * p.n_bins].reshape(m, p.n_bins)
+        # a projection's |C| is spent before the chunk's irfft fills frames
+        ratio = frames.reshape(-1)[:m * p.n_bins].reshape(m, p.n_bins)
         acc = np.empty((m + n_pieces - 1, p.hop))    # the cells from `done` on
         kept[i] = np.empty((head.stop - head.start, p.win_length))
 
@@ -597,15 +605,13 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                     plan.analyze_rows(r, frames, out=C)
                 elif seed is not None:
                     _put_phase(C, rng.uniform(-np.pi, np.pi, C.shape), s_hat[r])
-                if last and X is None:    # an iterate built here
-                    finite[i] &= bool(np.isfinite(C).all())
                 # the rows from c1 on are neither projected nor synthesized
                 n = min(n, max(0, c1 - r.start))
                 C = C[:n]
                 if s_hat is not None:    # P_mag(C_k): round k + 1's start, or the output
                     _set_magnitude(C, s_hat[r.start:r.start + n], ratio[:n])
                 if n:
-                    support = plan.synthesize_rows(C, waves)
+                    support = plan.synthesize_rows(C, frames)
                     plan._cell_sums(support, slice(r.start, r.start + n),
                                     slice(done, cells.stop), acc)
                     if r.start < head.stop:
@@ -613,6 +619,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                             support[:head.stop - r.start]
                         if head.stop <= r.stop:
                             ready[i].release()
+                    plan.clear_margins(frames[:n])    # for the next chunk's analysis
                 # every row reading a cell below r.stop is analyzed
                 finish(min(r.stop, cells.stop))
             if shared.start < shared.stop:    # block i + 1's terms in this block's cells
@@ -647,9 +654,12 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
               if e is not None and not isinstance(e, threading.BrokenBarrierError)]
     if failed:
         raise failed[0]
-    if not all(finite):
+    # an overflow in any round, the last analysis or synthesis included,
+    # leaves a sample that is not finite
+    if X is None and not all(np.isfinite(plan.x[r]).all()
+                             for r in _chunks(slice(0, plan.length), CHUNK_ROWS * p.hop)):
         raise ValueError("spectrogram contains non-finite values")
-    return plan.sig[p.pad_amount:p.pad_amount + plan.length]
+    return plan.x
 
 
 def _spectra(x: np.ndarray, p: StftParams, out: np.ndarray = None):

@@ -20,6 +20,14 @@ import numpy as np
 MELS_MAGIC = b"MELS"
 MELS_VERSION = 1
 
+# Mel frames the lift multiplies at a time, the last product taking the
+# rest.  OpenBLAS packs its operands in a buffer that grows with the
+# product: one product over a 60 s mel (4411 frames) kept 4.5 MB of it
+# resident.  A product of 64 rows or more rounds each row as the whole
+# product does; one of a few rows may take another kernel (OpenBLAS
+# 0.3.31 on SkylakeX: 1 row of 128 bands, up to 4 rows of 40 bands).
+LIFT_ROWS = 64
+
 
 def hz_to_mel(f):
     """HTK mel scale: mel(f) = 2595 * log10(1 + f/700)."""
@@ -176,9 +184,16 @@ def pseudo_inverse_magnitude(mel: MelSpectrogram) -> np.ndarray:
 
     Least-squares lift through the pseudo-inverse, with negative
     outputs clamped to zero: magnitudes cannot go below zero, and the
-    clamped frames feed the fixed-magnitude projection directly.
+    clamped frames feed the fixed-magnitude projection directly.  The
+    product runs LIFT_ROWS frames at a time into one output.
     """
-    lifted = mel.frames @ mel.filterbank.pseudo_inverse.T
+    pinv_t, n = mel.filterbank.pseudo_inverse.T, mel.n_frames
+    lifted = np.empty((n, pinv_t.shape[1]))
+    a = 0
+    while a < n:
+        b = a + LIFT_ROWS if n - a >= 2 * LIFT_ROWS else n
+        np.matmul(mel.frames[a:b], pinv_t, out=lifted[a:b])
+        a = b
     return np.maximum(lifted, 0.0, out=lifted)
 
 

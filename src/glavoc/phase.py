@@ -21,7 +21,10 @@ Inputs are validated at the public entry points, never per round.  The
 :class:`Waveform` and :class:`ComplexSpectrogram` of :func:`gla` check
 its signal and frames for overflow; for :func:`fgla` and
 :func:`gla_correct`, whose last iterate no such type holds, the engine
-checks it before synthesis.
+checks the signal it synthesizes, so an overflow raises the same
+ValueError whatever the round count.  :func:`gla_correct`'s burst runs
+in :func:`_correct`, on a plan its caller may keep: the corrected
+sampler runs every burst of an utterance on one plan.
 """
 
 from dataclasses import dataclass
@@ -128,10 +131,21 @@ def gla_correct(
     _check_rounds(iterations, momentum)
     plan = _StftPlan(params, len(y), params.frames_for_length(len(y)))
     s = _check_magnitude(s_hat, plan.n_frames, params.n_bins)
-    plan.pad(y.samples)
+    plan.x[...] = y.samples
+    return Waveform(_correct(plan, s, iterations, momentum))
+
+
+def _correct(plan: _StftPlan, s: np.ndarray, iterations: int, momentum: float) -> np.ndarray:
+    """:func:`gla_correct`'s burst on the signal in ``plan.x``, in place; returns ``plan.x``.
+
+    ``s`` is a checked target of the plan's frame count.  The edges are
+    refreshed first, so the signal may have been written since the last
+    burst.  Raises ValueError if the corrected signal is not finite.
+    """
+    plan.refresh_edges()
     if iterations == 0:
-        return Waveform(_project_rounds(plan, None, 0, 0.0))
-    return Waveform(_project_rounds(plan, s, iterations - 1, momentum))
+        return _project_rounds(plan, None, 0, 0.0)
+    return _project_rounds(plan, s, iterations - 1, momentum)
 
 
 def initial_spectrogram(

@@ -4,7 +4,18 @@ The reverse-diffusion chain runs as usual, except that each of the first
 few states it produces is pulled toward the target magnitude spectrogram
 by a burst of Griffin-Lim projections, :func:`glavoc.phase.gla_correct`.
 Late steps run uncorrected; the magnitude target is lifted from the
-conditioning mel spectrogram once per utterance.
+conditioning mel spectrogram once per utterance, and only when a burst
+or the shaped prior reads it.
+
+The chain lives in one padded signal: :func:`sample` builds one STFT plan
+per utterance, draws the prior into its signal, updates it there in place
+with the arithmetic of :func:`glavoc.diffusion.reverse_step`, and runs
+every burst on that plan through the entry :func:`gla_correct` uses, so
+the output is bit for bit that of the loop built from those public
+functions.  Besides the target, the chain holds that signal and, during
+a step, one more of its length: the prediction, which it subtracts
+scaled a chunk at a time and drops, and then the step's noise.  A burst
+holds no second signal.
 """
 
 from dataclasses import dataclass, field
@@ -15,17 +26,21 @@ from .diffusion import (
     DEFAULT_CEPSTRAL_ORDER,
     NoisePredictor,
     NoiseSchedule,
-    reverse_step,
+    _check_same_length,
     schedule_from_betas,
     specgrad_shape_noise,
     spectral_envelope,
     WG6_BETAS,
 )
-from .dsp import StftParams, Waveform
+from .dsp import StftParams, Waveform, _StftPlan, _chunks
 from .melscale import MelSpectrogram, pseudo_inverse_magnitude
-from .phase import gla_correct
+from .phase import _check_magnitude, _check_rounds, _correct, gla_correct  # noqa: F401  (importable here)
 
 NOISE_MODES = ("white", "specgrad")
+
+# Samples of c * eps_hat a reverse step subtracts at a time, so that no
+# second signal-length array exists beside the prediction.
+STEP_SAMPLES = 1 << 16
 
 
 @dataclass
@@ -91,21 +106,44 @@ def sample(
     n_mel_frames = mel.n_frames
     target_length = params.synthesis_length(n_mel_frames, target_length)
     params.check_length(n_mel_frames, target_length)
-    s_hat = pseudo_inverse_magnitude(mel)
+    corrected = cfg.correction_steps
+    s_hat = (pseudo_inverse_magnitude(mel)
+             if corrected or cfg.noise_shaping == "specgrad" else None)
 
     rng = np.random.default_rng(cfg.seed)
-    y = Waveform(rng.standard_normal(target_length))
+    plan = _StftPlan(params, target_length, n_mel_frames)
+    y = plan.x
+    rng.standard_normal(out=y)
     if cfg.noise_shaping == "specgrad":
-        y = specgrad_shape_noise(y, spectral_envelope(s_hat, cfg.cepstral_order), params)
+        y[...] = specgrad_shape_noise(
+            Waveform(y), spectral_envelope(s_hat, cfg.cepstral_order), params).samples
+    if corrected:    # gla_correct's checks, once
+        _check_rounds(cfg.gla_iterations, cfg.gla_momentum)
+        s_hat = _check_magnitude(s_hat, n_mel_frames, params.n_bins)
 
     n_steps = sched.n_steps
     for n in range(n_steps, 0, -1):
-        eps_hat = pred.predict(y, mel, float(np.sqrt(sched.alpha_bars[n - 1])))
-        z = Waveform(rng.standard_normal(target_length)) if n > 1 else None
-        y = reverse_step(y, eps_hat, n, sched, z)
-        if n_steps - n < cfg.correction_steps:
+        i = n - 1
+        y_n = Waveform(y)
+        eps_hat = pred.predict(y_n, mel, float(np.sqrt(sched.alpha_bars[i])))
+        _check_same_length(y_n, eps_hat, "reverse_step")
+        # reverse_step's operations on each sample in its order, in place
+        c = (1.0 - sched.alphas[i]) / np.sqrt(1.0 - sched.alpha_bars[i])
+        for r in _chunks(slice(0, target_length), STEP_SAMPLES):
+            y[r] -= c * eps_hat.samples[r]
+        del eps_hat
+        y /= np.sqrt(sched.alphas[i])
+        if n > 1:
+            z = rng.standard_normal(target_length)
+            z *= sched.sigmas[i]
+            y += z
+            del z
+        if n_steps - n < corrected:
             target = s_hat
             if cfg.magnitude_rescale:
                 target = s_hat * np.sqrt(sched.alpha_bar_prev(n))
-            y = gla_correct(y, target, cfg.gla_iterations, params, cfg.gla_momentum)
-    return y
+            _correct(plan, target, cfg.gla_iterations, cfg.gla_momentum)
+            del target
+            if n_steps - n + 1 == corrected:    # no later step reads the target
+                s_hat = None
+    return Waveform(y)

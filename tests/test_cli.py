@@ -491,7 +491,7 @@ def test_one_process_computes_the_pseudo_inverse_once(tmp_path, capsys, monkeypa
 
 def test_vocode_gla_memory_stays_within_its_per_frame_bound(tmp_path, capsys, monkeypatch):
     # README, Memory: at momentum, the lifted target (8.2 kB a frame) and
-    # two signals (4.8 kB a frame), besides a fixed 12 MB: 3.2 MB of chunk
+    # two signals (4.8 kB a frame), besides a fixed 12 MB: 2.3 MB of chunk
     # buffers for each of the two burst threads, 2 MB for the filterbank
     # and its pseudo-inverse, the rest small arrays.  A stored iterate
     # would add 16.4 kB a frame, a third signal 2.4 kB
@@ -510,6 +510,33 @@ def test_vocode_gla_memory_stays_within_its_per_frame_bound(tmp_path, capsys, mo
     finally:
         tracemalloc.stop()
     assert peak < n_frames * (8200 + 4800) + 12_000_000
+    capsys.readouterr()
+
+
+def test_vocode_memory_stays_within_its_per_frame_bound(tmp_path, capsys, monkeypatch):
+    # README, Memory: the lifted target (8.2 kB a frame), the mel (1 kB),
+    # and 2.4 kB a frame each for the padded signal, the reference and the
+    # prediction, besides a fixed 5 MB: 2.3 MB of chunk buffers for each
+    # of the two burst threads, 2 MB for the filterbank and its
+    # pseudo-inverse.  New signals every step, as reverse_step makes them,
+    # would add 4.8 kB a frame or more, a padded copy of the reference (the
+    # clip is shorter than the mel describes) 2.4 kB
+    wav, mels = tmp_path / "in.wav", tmp_path / "in.mels"
+    n = 20 * 22050
+    make_wav(wav, n=n)
+    assert main(["analyze", str(wav), "-o", str(mels)]) == 0
+    n_frames = StftParams().frames_for_length(n)
+    assert StftParams().max_length_for_frames(n_frames) > n
+    monkeypatch.setattr(dsp, "_cores", lambda: 2)
+    config._shared_filterbank.cache_clear()    # the filterbank is built inside the trace
+    tracemalloc.start()
+    try:
+        assert main(["vocode", str(mels), "-o", str(tmp_path / "out.wav"),
+                     "--predictor", f"oracle:{wav}"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_frames * (8200 + 1024 + 3 * 2400) + 5_000_000
     capsys.readouterr()
 
 

@@ -15,6 +15,7 @@ from signals import harmonic_signal
 
 from glavoc.dsp import StftParams, Waveform, stft
 from glavoc.melscale import (
+    LIFT_ROWS,
     MelFilterbank,
     MelSpectrogram,
     check_bands,
@@ -195,6 +196,18 @@ def test_lift_zero_and_clamp():
     assert raw.min() < 0.0          # the case actually exercises the clamp
     assert np.all(lifted >= 0.0)
     assert np.all(lifted[raw < 0.0] == 0.0)
+
+
+def test_lift_in_row_chunks_is_the_whole_product():
+    # the lift multiplies LIFT_ROWS frames at a time, never fewer except on
+    # a short mel, whose rows BLAS may round another way
+    for fb in (mel_filterbank(22050, 2048, 128, 20.0, 11025.0),
+               mel_filterbank(22050, 512, 40, 20.0, 11025.0)):
+        for n_frames in list(range(1, 3 * LIFT_ROWS + 3)) + [1000, 4411]:
+            frames = np.random.default_rng(n_frames).random((n_frames, fb.n_bands))
+            want = np.maximum(frames @ fb.pseudo_inverse.T, 0.0)
+            got = pseudo_inverse_magnitude(MelSpectrogram(frames, fb))
+            assert np.array_equal(got, want), n_frames
 
 
 def test_mel_round_trip_on_harmonic_signals():

@@ -365,14 +365,15 @@ def traced_peak(f):
 def test_burst_memory_stays_within_its_per_frame_bound(monkeypatch):
     # README, Memory: besides the caller's target, a burst holds two
     # signals, 4.8 kB a frame, with momentum and one, 2.4 kB, without, and
-    # about 3 MB of chunk buffers per thread; a stored iterate would add
-    # 16.4 kB a frame
+    # per thread a frame buffer and a spectrum buffer of 64 rows, its cell
+    # sums and, in fgla's first pass, a chunk of phases: 2.8 MB; a stored
+    # iterate would add 16.4 kB a frame, a third chunk buffer 1 MB a thread
     n_frames = 2000
     s_hat = np.random.default_rng(25).random((n_frames, P.n_bins))
     monkeypatch.setattr(dsp, "_cores", lambda: 2)
     for momentum, per_frame in ((0.99, 8_000), (0.0, 5_000)):
         peak = traced_peak(lambda: fgla(s_hat, P, GlaConfig(iterations=3, momentum=momentum)))
-        assert peak < n_frames * per_frame + 2 * 3_000_000, momentum
+        assert peak < n_frames * per_frame + 2 * 2_800_000, momentum
 
 
 def test_istft_allocates_only_synthesis_buffers():
@@ -456,17 +457,20 @@ def test_a_burst_waits_at_a_barrier_once_a_round(monkeypatch):
 
 
 def test_fgla_overflowing_target_raises(monkeypatch):
-    # only the ValueError, no RuntimeWarning first, on one row block and on two
+    # only the ValueError, no RuntimeWarning first, on one row block and on
+    # two; the same one at 0 iterations, where only the synthesis overflows
     n_frames = 2 * dsp.MIN_BLOCK_SAMPLES // P.n_fft
     s_hat = np.full((n_frames, P.n_bins), 1e306)
     for cores in (1, 2):
         monkeypatch.setattr(dsp, "_cores", lambda: cores)
         assert len(dsp._row_blocks(burst_plan(P, n_frames))) == cores
         for momentum in (0.0, 0.99):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="finite"):
-                    fgla(s_hat, P, GlaConfig(iterations=4, momentum=momentum))
+            for iterations in (0, 1, 2, 4):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError,
+                                       match="^spectrogram contains non-finite values$"):
+                        fgla(s_hat, P, GlaConfig(iterations=iterations, momentum=momentum))
 
 
 def test_fgla_scans_frames_past_its_target_length():

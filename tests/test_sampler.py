@@ -14,6 +14,8 @@ from glavoc.diffusion import (
     ZeroPredictor,
     reverse_step,
     schedule_from_betas,
+    specgrad_shape_noise,
+    spectral_envelope,
 )
 from glavoc.dsp import StftParams, Waveform, stft
 from glavoc.melscale import (
@@ -79,17 +81,31 @@ def test_correction_is_homogeneous_in_target():
 
 
 def test_correction_overflowing_target_raises(monkeypatch):
-    # only the ValueError, no RuntimeWarning first, on one row block and on two
+    # only the ValueError, no RuntimeWarning first, on one row block and on
+    # two; the same one whether the first synthesis overflows (K = 1) or a
+    # later analysis
     y = Waveform(np.random.default_rng(5).standard_normal(L))
     assert S_HAT.shape[0] >= 2 * dsp.MIN_BLOCK_SAMPLES // P.n_fft
     for cores in (1, 2):
         monkeypatch.setattr(dsp, "_cores", lambda: cores)
         assert len(dsp._row_blocks(dsp._StftPlan(P, L, S_HAT.shape[0]))) == cores
         for momentum in (0.0, 0.9):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="finite"):
-                    gla_correct(y, np.full(S_HAT.shape, 1e306), 4, P, momentum)
+            for K in (1, 2, 3, 4):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError,
+                                       match="^spectrogram contains non-finite values$"):
+                        gla_correct(y, np.full(S_HAT.shape, 1e306), K, P, momentum)
+
+
+def test_sampler_raises_an_overflowing_correction():
+    # the burst raises, before the chain's next in-place step reads its signal
+    huge_mel = MelSpectrogram(MEL.frames * (1e308 / S_HAT.max()), FB)    # a finite target
+    for K in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^spectrogram contains non-finite values$"):
+                sample(ZeroPredictor(), huge_mel, SamplerConfig(gla_iterations=K), target_length=L)
 
 
 def test_correction_momentum_variant_runs():
@@ -115,6 +131,46 @@ def test_uncorrected_sampler_is_plain_reverse_loop():
         z = Waveform(rng.standard_normal(L)) if n > 1 else None
         y = reverse_step(y, eps_hat, n, WG6, z)
     assert np.array_equal(got.samples, y.samples)
+
+
+def public_loop(pred, mel, cfg, length):
+    """sample() as the loop of the public steps: predict, reverse_step, gla_correct."""
+    p, sched = cfg.stft_params, cfg.schedule
+    s_hat = pseudo_inverse_magnitude(mel)
+    rng = np.random.default_rng(cfg.seed)
+    y = Waveform(rng.standard_normal(length))
+    if cfg.noise_shaping == "specgrad":
+        y = specgrad_shape_noise(y, spectral_envelope(s_hat, cfg.cepstral_order), p)
+    n_steps = sched.n_steps
+    for n in range(n_steps, 0, -1):
+        eps_hat = pred.predict(y, mel, float(np.sqrt(sched.alpha_bars[n - 1])))
+        z = Waveform(rng.standard_normal(length)) if n > 1 else None
+        y = reverse_step(y, eps_hat, n, sched, z)
+        if n_steps - n < cfg.correction_steps:
+            target = s_hat * np.sqrt(sched.alpha_bar_prev(n)) if cfg.magnitude_rescale else s_hat
+            y = gla_correct(y, target, cfg.gla_iterations, p, cfg.gla_momentum)
+    return y
+
+
+@pytest.mark.parametrize("noise", ("white", "specgrad"))
+@pytest.mark.parametrize("predictor", ("oracle", "zero"))
+def test_corrected_sampler_is_the_public_loop(predictor, noise):
+    # sample() runs the chain in place in one padded signal; its bits are
+    # the public loop's, the target's lift and the bursts' plan included.
+    # At the longest length the mel describes, the oracle reads past the
+    # end of its reference
+    n = 8000
+    mel = mel_spectrogram(stft(Waveform(REF.samples[:n]), P).magnitude(), FB)
+    pred = OraclePredictor(Waveform(REF.samples[:n])) if predictor == "oracle" else ZeroPredictor()
+    for length in (n, P.max_length_for_frames(mel.n_frames)):
+        for momentum in (0.0, 0.99):
+            for K in (0, 1, 32):
+                for rescale in (False, True):
+                    cfg = SamplerConfig(gla_iterations=K, gla_momentum=momentum,
+                                        noise_shaping=noise, magnitude_rescale=rescale, seed=12)
+                    got = sample(pred, mel, cfg, target_length=length)
+                    want = public_loop(pred, mel, cfg, length)
+                    assert np.array_equal(got.samples, want.samples), (length, momentum, K, rescale)
 
 
 def test_correction_rescues_a_blind_predictor():
@@ -161,11 +217,11 @@ def test_sampler_rejects_mels_no_signal_produces():
 
 def test_corrections_hit_only_the_earliest_steps(monkeypatch):
     events = []
-    real_correct = sampler_mod.gla_correct
+    real_correct = sampler_mod._correct
 
-    def spy_correct(y, s_hat, iterations, params, momentum=0.0):
+    def spy_correct(plan, s, iterations, momentum):
         events.append("corr")
-        return real_correct(y, s_hat, iterations, params, momentum)
+        return real_correct(plan, s, iterations, momentum)
 
     class SpyPredictor(OraclePredictor):
         def predict(self, y_n, mel, sab):
@@ -173,7 +229,7 @@ def test_corrections_hit_only_the_earliest_steps(monkeypatch):
             events.append(("pred", step))
             return super().predict(y_n, mel, sab)
 
-    monkeypatch.setattr(sampler_mod, "gla_correct", spy_correct)
+    monkeypatch.setattr(sampler_mod, "_correct", spy_correct)
     cfg = SamplerConfig(correction_steps=3, gla_iterations=2, seed=3)
     sample(SpyPredictor(REF), MEL, cfg, target_length=L)
     assert events == [
