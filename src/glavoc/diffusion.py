@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dsp
 from .dsp import StftParams, Waveform, istft, stft
 from .melscale import MelSpectrogram
 
@@ -209,8 +210,7 @@ def wavegrad_loss(
     eps: Waveform,
 ) -> float:
     """Per-sample L1 between predicted and actual noise (diagnostic only)."""
-    if not (0.0 < alpha_bar < 1.0):
-        raise ValueError(f"alpha_bar must lie strictly in (0, 1), got {alpha_bar}")
+    _check_oracle_alpha(alpha_bar)
     y_n = forward_diffuse(y0, alpha_bar, eps)
     estimate = pred.predict(y_n, mel, float(np.sqrt(alpha_bar)))
     _check_same_length(estimate, eps, "wavegrad_loss")
@@ -223,6 +223,7 @@ def spectral_envelope(s_hat: np.ndarray, cepstral_order: int = DEFAULT_CEPSTRAL_
     Log magnitude (floored relative to the global peak), real cepstrum,
     keep quefrencies below ``cepstral_order``, back to a strictly
     positive envelope.  A silent spectrogram gets a flat unit envelope.
+    After the peak it runs ``dsp.CHUNK_ROWS`` frames at a time into one output.
     """
     if cepstral_order < 1:
         raise ValueError("cepstral_order must be >= 1")
@@ -233,11 +234,12 @@ def spectral_envelope(s_hat: np.ndarray, cepstral_order: int = DEFAULT_CEPSTRAL_
     if peak <= 0.0:
         return np.ones_like(s)
     n_fft = 2 * (s.shape[1] - 1)
-    log_s = np.log(s + ENVELOPE_FLOOR_RATIO * peak)
-    ceps = np.fft.irfft(log_s, n=n_fft, axis=1)
-    ceps[:, cepstral_order:n_fft - cepstral_order + 1] = 0.0
-    smooth = np.fft.rfft(ceps, n=n_fft, axis=1).real
-    return np.exp(smooth)
+    env = np.empty_like(s)
+    for r in dsp._chunks(slice(0, s.shape[0]), dsp.CHUNK_ROWS):
+        ceps = np.fft.irfft(np.log(s[r] + ENVELOPE_FLOOR_RATIO * peak), n=n_fft, axis=1)
+        ceps[:, cepstral_order:n_fft - cepstral_order + 1] = 0.0
+        np.exp(np.fft.rfft(ceps, n=n_fft, axis=1).real, out=env[r])
+    return env
 
 
 def specgrad_shape_noise(
@@ -247,7 +249,7 @@ def specgrad_shape_noise(
 
     istft(envelope * stft(eps)): a time-varying filter in factored form;
     the equivalent dense covariance is never built.  Linear in the noise,
-    identity when the envelope is 1.
+    identity when the envelope is 1; the envelope scales the spectrogram in place.
     """
     env = np.asarray(envelope, dtype=np.float64)
     if not np.all(np.isfinite(env)) or env.min() <= 0.0:
@@ -257,5 +259,5 @@ def specgrad_shape_noise(
         raise ValueError(
             f"envelope shape {env.shape} does not match spectrogram {spec.frames.shape}"
         )
-    spec.frames = spec.frames * env
+    spec.frames *= env
     return istft(spec, len(eps_white))

@@ -41,9 +41,10 @@ cells below them are finished, and their normalized samples go straight
 back into the padded signal the step reads.  Momentum acts there, on
 the signal: analysis is linear, so the analysis of x_k + m (x_k - x_{k-1})
 is the accelerated iterate, and a burst keeps the plain signal x_{k-1}
-beside the padded one instead of a spectrogram.  The reflect-pad edges
-are refreshed from the padded signal once a round, after every cell is
-written.
+beside the padded one instead of a spectrogram.  Only the two analysis
+loops write the reflect-pad edges, by :meth:`_StftPlan.refresh_edges`:
+:func:`_spectra` before it analyzes, and the engine before it analyzes
+the caller's signal and once a round, after every cell is written.
 Each array is scanned for finiteness by the :class:`ComplexSpectrogram`
 or :class:`Waveform` holding it, or by the analysis loop if none does;
 the engine scans the signal of every burst it started itself.
@@ -299,8 +300,8 @@ class _StftPlan:
     when given the previous signal.  Row r's window spans cells r to
     r + n_pieces - 1, so cell r is finished once the rows up to r are,
     and no later row reads it.  The reflect-pad edges are read by rows
-    far from the samples they mirror, so only :meth:`pad` and
-    :meth:`refresh_edges` write them.  Disjoint row slices, and disjoint
+    far from the samples they mirror, so only :meth:`refresh_edges` writes
+    them, called by the analysis loops.  Disjoint row slices, and disjoint
     cell ranges, may run on different threads.
     """
 
@@ -385,11 +386,6 @@ class _StftPlan:
             if k0 < k1:
                 piece = frames[k0 - rows.start:k1 - rows.start, j * hop:(j + 1) * hop]
                 acc[k0 + j - c0:k1 + j - c0, :piece.shape[1]] += piece
-
-    def pad(self, x: np.ndarray) -> None:
-        """Reflect-pad ``x`` into the padded signal."""
-        self.x[...] = x
-        self.refresh_edges()
 
     def refresh_edges(self) -> None:
         """Copy each reflect-pad edge position from the sample it mirrors."""
@@ -514,7 +510,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     C_0 is ``X``, a validated complex array the caller gives up (read
     only when ``s_hat`` is None); or s_hat under the phases
     ``np.random.default_rng(seed).uniform(-pi, pi)`` draws in row-major
-    order; or, with neither, the analysis of the plan's padded signal.
+    order; or, with neither, the analysis of ``plan.x``, edges refreshed.
     Every pass, the last too, projects onto ``s_hat`` when it is given,
     and the output region of the padded signal is returned: a burst ends
     in the synthesis of its last magnitude projection.  Unless ``X`` is
@@ -562,6 +558,8 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     cell_blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [c1])]
     if plan.norm is None:
         plan.norm = plan._build_norm()
+    if analyze_first:    # the signal may have been written since the last refresh
+        plan.refresh_edges()
     # only a pass that another follows waits, so the last one writes no edge
     barrier = threading.Barrier(len(blocks), action=plan.refresh_edges)
     ready = [threading.Semaphore(0) for _ in blocks]    # block i's kept rows are done
@@ -672,7 +670,8 @@ def _spectra(x: np.ndarray, p: StftParams, out: np.ndarray = None):
     of the others, so the split changes no bit.
     """
     plan = _StftPlan(p, x.shape[0], p.frames_for_length(x.shape[0]))
-    plan.pad(x)
+    plan.x[...] = x
+    plan.refresh_edges()
     m = min(ANALYSIS_ROWS, plan.n_frames)
     frames = plan.frame_buffer(m)
     buf = np.empty((m, p.n_bins), dtype=np.complex128) if out is None else None

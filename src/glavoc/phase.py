@@ -17,14 +17,16 @@ Momentum acts on the synthesized signals: the analysis of
 x_k + m (x_k - x_{k-1}) is the accelerated iterate, so a burst keeps a
 second signal, not the previous iterate.
 :func:`initial_spectrogram` draws its phases without a plan or engine.
-Inputs are validated at the public entry points, never per round.  The
+Inputs are validated at the public entry points, never per round, by
+:func:`_check_rounds` and :func:`_check_magnitude`.  The
 :class:`Waveform` and :class:`ComplexSpectrogram` of :func:`gla` check
 its signal and frames for overflow; for :func:`fgla` and
 :func:`gla_correct`, whose last iterate no such type holds, the engine
 checks the signal it synthesizes, so an overflow raises the same
 ValueError whatever the round count.  :func:`gla_correct`'s burst runs
 in :func:`_correct`, on a plan its caller may keep: the corrected
-sampler runs every burst of an utterance on one plan.
+sampler runs every burst of an utterance on one plan, and the engine
+refreshes its edges.
 """
 
 from dataclasses import dataclass
@@ -62,24 +64,20 @@ class GlaConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _check_rounds(iterations: int, momentum: float) -> None:
-    """Raise ValueError unless iterations >= 0 and momentum lies in [0, 1)."""
+def _check_rounds(iterations: int, momentum: float, prefix: str = "") -> None:
+    """Raise ValueError unless iterations >= 0 and 0 <= momentum < 1, names led by ``prefix``."""
     if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
+        raise ValueError(f"{prefix}iterations must be >= 0, got {iterations}")
     if not (0.0 <= momentum < 1.0):
-        raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
+        raise ValueError(f"{prefix}momentum must lie in [0, 1), got {momentum}")
 
 
-def _check_target(s_hat: np.ndarray, params: StftParams) -> np.ndarray:
-    """A 2-D magnitude target of any frame count, checked as :func:`_check_magnitude` does."""
+def _check_magnitude(s_hat: np.ndarray, n_bins: int, n_frames: int = None) -> np.ndarray:
+    """Float64 ``s_hat``; ValueError unless 2-D, n_frames (any if None) x n_bins, finite, >= 0."""
     s = np.asarray(s_hat, dtype=np.float64)
     if s.ndim != 2:
         raise ValueError(f"magnitude must be 2-D, got shape {s.shape}")
-    return _check_magnitude(s, s.shape[0], params.n_bins)
-
-
-def _check_magnitude(s_hat: np.ndarray, n_frames: int, n_bins: int) -> np.ndarray:
-    s = np.asarray(s_hat, dtype=np.float64)
+    n_frames = s.shape[0] if n_frames is None else n_frames
     if s.shape != (n_frames, n_bins):
         raise ValueError(f"magnitude shape {s.shape} != ({n_frames}, {n_bins})")
     if not np.all(np.isfinite(s)) or s.min() < 0.0:
@@ -99,14 +97,14 @@ def project_consistent(C: ComplexSpectrogram) -> ComplexSpectrogram:
 
 def project_magnitude(C: ComplexSpectrogram, s_hat: np.ndarray) -> ComplexSpectrogram:
     """Replace magnitudes, keep phases; zero entries get phase 1."""
-    s = _check_magnitude(s_hat, C.n_frames, C.params.n_bins)
+    s = _check_magnitude(s_hat, C.params.n_bins, C.n_frames)
     return ComplexSpectrogram(_set_magnitude(C.frames.copy(), s), C.params, C.origin_length)
 
 
 def gla(C0: ComplexSpectrogram, s_hat: np.ndarray, iterations: int) -> ComplexSpectrogram:
     """Plain Griffin-Lim: K composed projections from C0, the last analysis by :func:`stft`."""
     _check_rounds(iterations, 0.0)
-    s = _check_magnitude(s_hat, C0.n_frames, C0.params.n_bins)
+    s = _check_magnitude(s_hat, C0.params.n_bins, C0.n_frames)
     if iterations == 0:
         return C0
     C0.params.check_length(C0.n_frames, C0.origin_length)
@@ -130,7 +128,7 @@ def gla_correct(
     """
     _check_rounds(iterations, momentum)
     plan = _StftPlan(params, len(y), params.frames_for_length(len(y)))
-    s = _check_magnitude(s_hat, plan.n_frames, params.n_bins)
+    s = _check_magnitude(s_hat, params.n_bins, plan.n_frames)
     plan.x[...] = y.samples
     return Waveform(_correct(plan, s, iterations, momentum))
 
@@ -138,11 +136,10 @@ def gla_correct(
 def _correct(plan: _StftPlan, s: np.ndarray, iterations: int, momentum: float) -> np.ndarray:
     """:func:`gla_correct`'s burst on the signal in ``plan.x``, in place; returns ``plan.x``.
 
-    ``s`` is a checked target of the plan's frame count.  The edges are
-    refreshed first, so the signal may have been written since the last
-    burst.  Raises ValueError if the corrected signal is not finite.
+    ``s`` is a checked target of the plan's frame count.  The engine
+    refreshes the edges of the signal, which may have been written since
+    the last burst.  Raises ValueError if the corrected signal is not finite.
     """
-    plan.refresh_edges()
     if iterations == 0:
         return _project_rounds(plan, None, 0, 0.0)
     return _project_rounds(plan, s, iterations - 1, momentum)
@@ -157,7 +154,7 @@ def initial_spectrogram(
     draws in row-major order.  Its origin length is the longest signal
     the frame count describes.
     """
-    s = _check_target(s_hat, params)
+    s = _check_magnitude(s_hat, params.n_bins)
     X = np.empty(s.shape, dtype=np.complex128)
     rng = np.random.default_rng(cfg.seed)
     for r in dsp._chunks(slice(0, s.shape[0]), dsp.CHUNK_ROWS):    # no phase array spans s
@@ -185,7 +182,7 @@ def fgla(
     (default: the longest signal the frame count describes) keeps that
     many leading samples, at the rate of the mel the magnitudes came from.
     """
-    s = _check_target(s_hat, params)
+    s = _check_magnitude(s_hat, params.n_bins)
     target_length = params.synthesis_length(s.shape[0], target_length)
     plan = _StftPlan(params, params.max_length_for_frames(s.shape[0]), s.shape[0])
     out = _project_rounds(plan, s, cfg.iterations, cfg.momentum, seed=cfg.seed)

@@ -4,8 +4,8 @@ The reverse-diffusion chain runs as usual, except that each of the first
 few states it produces is pulled toward the target magnitude spectrogram
 by a burst of Griffin-Lim projections, :func:`glavoc.phase.gla_correct`.
 Late steps run uncorrected; the magnitude target is lifted from the
-conditioning mel spectrogram once per utterance, and only when a burst
-or the shaped prior reads it.
+conditioning mel spectrogram once per utterance, only when a burst or
+the shaped prior's envelope reads it, and dropped after its last reader.
 
 The chain lives in one padded signal: :func:`sample` builds one STFT plan
 per utterance, draws the prior into its signal, updates it there in place
@@ -15,7 +15,7 @@ the output is bit for bit that of the loop built from those public
 functions.  Besides the target, the chain holds that signal and, during
 a step, one more of its length: the prediction, which it subtracts
 scaled a chunk at a time and drops, and then the step's noise.  A burst
-holds no second signal.
+holds no second signal, and its edges are the engine's to refresh.
 """
 
 from dataclasses import dataclass, field
@@ -73,12 +73,9 @@ class SamplerConfig:
                 f"correction_steps {self.correction_steps} exceeds the "
                 f"{self.schedule.n_steps}-step schedule"
             )
-        if self.gla_iterations < 0:
-            raise ValueError("gla_iterations must be >= 0")
+        _check_rounds(self.gla_iterations, self.gla_momentum, "gla_")
         if self.noise_shaping not in NOISE_MODES:
             raise ValueError(f"noise_shaping must be one of {NOISE_MODES}")
-        if not (0.0 <= self.gla_momentum < 1.0):
-            raise ValueError("gla_momentum must lie in [0, 1)")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.cepstral_order < 1:
@@ -115,11 +112,12 @@ def sample(
     y = plan.x
     rng.standard_normal(out=y)
     if cfg.noise_shaping == "specgrad":
-        y[...] = specgrad_shape_noise(
-            Waveform(y), spectral_envelope(s_hat, cfg.cepstral_order), params).samples
-    if corrected:    # gla_correct's checks, once
-        _check_rounds(cfg.gla_iterations, cfg.gla_momentum)
-        s_hat = _check_magnitude(s_hat, n_mel_frames, params.n_bins)
+        env = spectral_envelope(s_hat, cfg.cepstral_order)
+        s_hat = s_hat if corrected else None    # no burst reads the target
+        y[...] = specgrad_shape_noise(Waveform(y), env, params).samples
+        del env
+    if corrected:    # gla_correct's target check, once; the config checks its rounds
+        s_hat = _check_magnitude(s_hat, params.n_bins, n_mel_frames)
 
     n_steps = sched.n_steps
     for n in range(n_steps, 0, -1):

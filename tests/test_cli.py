@@ -87,6 +87,7 @@ def test_config_errors_exit_1(tmp_path, capsys):
     for line in ("hop = 1300", "noise = pink", "correction_steps = 9", "f_max = 20000.0",
                  "wav_format = pcm24", "schedule = nosuch", "lsd_floor = 0",
                  "lsd_floor = nan", "lsd_floor = inf", "cepstral_order = 0", "seed = -1",
+                 "gla_iters = -1", "gla_momentum = 1.0",
                  # mel bands narrower than the FFT bin spacing
                  "n_mels = 600", "n_fft = 256\nwin_length = 256\nhop = 64",
                  # hops whose synthesis leaves a sample unnormalized
@@ -113,7 +114,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
                     "exceeds the 6-step schedule", "Nyquist", "bit_depth must be one of",
                     "unknown schedule 'nosuch'", "lsd_floor must be finite and positive",
                     "cepstral_order must be >= 1", "seed must be >= 0",
-                    "filters cover no FFT bin"):
+                    "gla_iterations must be >= 0, got -1",
+                    "gla_momentum must lie in [0, 1), got 1.0", "filters cover no FFT bin"):
         assert message in err
     assert err.count("filters cover no FFT bin") == 2
 
@@ -537,6 +539,36 @@ def test_vocode_memory_stays_within_its_per_frame_bound(tmp_path, capsys, monkey
     finally:
         tracemalloc.stop()
     assert peak < n_frames * (8200 + 1024 + 3 * 2400) + 5_000_000
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("steps, target", [(3, 8200), (0, 0)], ids=["corrected", "uncorrected"])
+def test_specgrad_vocode_memory_stays_within_its_per_frame_bound(tmp_path, capsys, monkeypatch,
+                                                                  steps, target):
+    # README, Memory: setting up the shaped prior holds the lifted target
+    # (8.2 kB a frame) only when a step reads it, the envelope (8.2 kB),
+    # the noise's complex spectrogram (16.4 kB) and two padded signals,
+    # the chain's and the one the analysis or synthesis fills (4.8 kB),
+    # besides the mel (1 kB) and the reference (2.4 kB) and a fixed 5 MB.
+    # An envelope built over the whole array at once holds its log
+    # magnitude, an n_fft-wide cepstrum and that cepstrum's spectrum too,
+    # 41 kB a frame; a product of the envelope and the spectrogram 16.4 kB
+    wav, mels = tmp_path / "in.wav", tmp_path / "in.mels"
+    n = 20 * 22050
+    make_wav(wav, n=n)
+    assert main(["analyze", str(wav), "-o", str(mels)]) == 0
+    n_frames = StftParams().frames_for_length(n)
+    monkeypatch.setattr(dsp, "_cores", lambda: 2)
+    config._shared_filterbank.cache_clear()    # the filterbank is built inside the trace
+    tracemalloc.start()
+    try:
+        assert main(["vocode", str(mels), "-o", str(tmp_path / "out.wav"),
+                     "--predictor", f"oracle:{wav}", "--noise", "specgrad",
+                     "--correction-steps", str(steps)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_frames * (target + 8200 + 16400 + 4800 + 1024 + 2400) + 5_000_000
     capsys.readouterr()
 
 

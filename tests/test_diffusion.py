@@ -7,7 +7,9 @@ import pytest
 
 from signals import harmonic_signal
 
+from glavoc import dsp
 from glavoc.diffusion import (
+    ENVELOPE_FLOOR_RATIO,
     NoisePredictor,
     OraclePredictor,
     ZeroPredictor,
@@ -21,6 +23,7 @@ from glavoc.diffusion import (
     wavegrad_loss,
 )
 from glavoc.dsp import StftParams, Waveform, stft
+from glavoc.melscale import mel_filterbank, mel_spectrogram, pseudo_inverse_magnitude
 
 WG6 = schedule_from_betas((7e-6, 1.4e-4, 2.1e-3, 2.8e-2, 3.5e-1, 7e-1))
 
@@ -316,6 +319,32 @@ def test_envelope_is_smooth():
 def test_envelope_silent_input():
     env = spectral_envelope(np.zeros((4, 1025)), 24)
     assert np.array_equal(env, np.ones((4, 1025)))
+
+
+def whole_envelope(s, order):
+    # spectral_envelope's formula over the whole array at once
+    peak = s.max()
+    if peak <= 0.0:
+        return np.ones_like(s)
+    n_fft = 2 * (s.shape[1] - 1)
+    ceps = np.fft.irfft(np.log(s + ENVELOPE_FLOOR_RATIO * peak), n=n_fft, axis=1)
+    ceps[:, order:n_fft - order + 1] = 0.0
+    return np.exp(np.fft.rfft(ceps, n=n_fft, axis=1).real)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 64])
+def test_envelope_in_row_chunks_is_the_whole_array_formula(monkeypatch, chunk_rows):
+    monkeypatch.setattr(dsp, "CHUNK_ROWS", chunk_rows)
+    y = Waveform(harmonic_signal(110.0, n=44100, seed=14))
+    small = StftParams(512, 96, 400)
+    fb = mel_filterbank(22050, 512, 40, 20.0, 8000.0)
+    cases = [
+        (stft(y, StftParams()).magnitude(), 24),                         # 151 frames
+        (pseudo_inverse_magnitude(mel_spectrogram(stft(y, small).magnitude(), fb)), 12),
+        (np.zeros((7, 257)), 24),                                        # silent
+    ]
+    for s, order in cases:
+        assert np.array_equal(spectral_envelope(s, order), whole_envelope(s, order))
 
 
 # ------------------------------------------------------------- noise shaping

@@ -268,9 +268,9 @@ def test_config_validation():
         SamplerConfig(correction_steps=7)        # more than the schedule has
     with pytest.raises(ValueError):
         SamplerConfig(correction_steps=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gla_iterations must be >= 0, got -2"):
         SamplerConfig(gla_iterations=-2)
     with pytest.raises(ValueError):
         SamplerConfig(noise_shaping="pink")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"gla_momentum must lie in \[0, 1\), got 1.0"):
         SamplerConfig(gla_momentum=1.0)
