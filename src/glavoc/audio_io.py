@@ -24,7 +24,10 @@ _SUBTYPE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 @dataclass(frozen=True)
 class WavSpec:
-    """Stored sample format; this toolkit is strictly mono."""
+    """Stored sample format; this toolkit is strictly mono.
+
+    The rate is a whole number of Hz; an integral float is kept as its int.
+    """
 
     sample_rate: int = 22050
     bit_depth: str = "float32"
@@ -36,6 +39,9 @@ class WavSpec:
             raise ValueError(
                 f"sample_rate must lie in 1..{MAX_SAMPLE_RATE}, got {self.sample_rate}"
             )
+        if self.sample_rate != int(self.sample_rate):
+            raise ValueError(f"sample_rate must be a whole number of Hz, got {self.sample_rate}")
+        object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
 
 def write_wav(path, y: Waveform, spec: WavSpec) -> None:

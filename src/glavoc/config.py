@@ -6,6 +6,12 @@ floors and I/O format.  The text form round-trips exactly (floats are
 serialized with repr), so the config echo of a run is itself a valid
 config file reproducing that run.
 
+A RunConfig is frozen, and loading it builds the parts every command
+runs on once, each checked as it is built: the STFT geometry, the noise
+schedule, the sampler and vocoder settings and the WAV format.  So a
+schedule file is read once and may be a pipe; the echo records its path,
+not its betas, so a piped schedule's echo does not reproduce the run.
+
 ``RunConfig.filterbank`` hands every config of one geometry the same
 immutable filterbank, so a process builds each geometry's weights and
 pseudo-inverse once.
@@ -24,7 +30,7 @@ from .phase import GlaConfig
 from .sampler import SamplerConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Every tunable the pipeline reads, under stable key names."""
 
@@ -63,14 +69,27 @@ class RunConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if not 0.0 < self.lsd_floor < math.inf:
             raise ValueError(f"lsd_floor must be finite and positive, got {self.lsd_floor}")
-        # the cheap factories check the remaining values, the geometry and
-        # the rate before the bands that depend on them; the filterbank
-        # itself is built only when a command needs it.  A geometry whose
-        # synthesis cannot normalize every sample fails here, as does the
-        # uncentered Hann, which is zero at the first output sample.
-        self.sampler_config().stft_params.check_synthesis()
-        self.gla_config()
-        self.wav_spec()
+        # the parts every command runs on, built once: the schedule first,
+        # then the geometry and the rate before the bands that depend on
+        # them.  A geometry whose synthesis cannot normalize every sample
+        # fails here, as does the uncentered Hann, which is zero at the
+        # first output sample.  Not fields: keys, echo and == ignore them.
+        sampler = SamplerConfig(
+            schedule=named_schedule(self.schedule, rooted_sigma=not self.sigma_no_sqrt),
+            correction_steps=self.correction_steps,
+            gla_iterations=self.gla_iters,
+            noise_shaping=self.noise,
+            seed=self.seed,
+            stft_params=StftParams(self.n_fft, self.hop, self.win_length,
+                                   center_padding=self.center),
+            gla_momentum=self.gla_momentum,
+            magnitude_rescale=self.magnitude_rescale,
+            cepstral_order=self.cepstral_order,
+        )
+        sampler.stft_params.check_synthesis()
+        vars(self).update(_sampler=sampler,    # frozen: set past __setattr__
+                          _gla=GlaConfig(self.iters, self.momentum, self.seed),
+                          _wav=WavSpec(self.sample_rate, self.wav_format))
         check_bands(self.sample_rate, self.n_fft, self.n_mels, self.f_min, self.f_max)
 
     # -------------------------------------------------------- serialization
@@ -109,38 +128,24 @@ class RunConfig:
         values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
         return cls(**values)
 
-    # ----------------------------------------------------------- factories
+    # ------------------------------------------------------------- parts
 
     def stft_params(self) -> StftParams:
-        return StftParams(self.n_fft, self.hop, self.win_length,
-                          center_padding=self.center)
+        return self._sampler.stft_params
 
     def filterbank(self) -> MelFilterbank:
         """The filterbank of this mel geometry, one instance for every config that names it."""
         return _shared_filterbank(self.sample_rate, self.n_fft, self.n_mels,
                                   self.f_min, self.f_max)
 
-    def noise_schedule(self):
-        return named_schedule(self.schedule, rooted_sigma=not self.sigma_no_sqrt)
-
     def sampler_config(self) -> SamplerConfig:
-        return SamplerConfig(
-            schedule=self.noise_schedule(),
-            correction_steps=self.correction_steps,
-            gla_iterations=self.gla_iters,
-            noise_shaping=self.noise,
-            seed=self.seed,
-            stft_params=self.stft_params(),
-            gla_momentum=self.gla_momentum,
-            magnitude_rescale=self.magnitude_rescale,
-            cepstral_order=self.cepstral_order,
-        )
+        return self._sampler
 
     def gla_config(self) -> GlaConfig:
-        return GlaConfig(iterations=self.iters, momentum=self.momentum, seed=self.seed)
+        return self._gla
 
     def wav_spec(self) -> WavSpec:
-        return WavSpec(self.sample_rate, self.wav_format)
+        return self._wav
 
 
 # About 2 MB a geometry at the defaults, weights and pseudo-inverse, kept

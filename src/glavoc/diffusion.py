@@ -13,6 +13,7 @@ import numpy as np
 from . import dsp
 from .dsp import StftParams, Waveform, istft, stft
 from .melscale import MelSpectrogram
+from .phase import _check_magnitude
 
 # 6-step schedule for fast sampling
 WG6_BETAS = (7e-6, 1.4e-4, 2.1e-3, 2.8e-2, 3.5e-1, 7e-1)
@@ -223,13 +224,13 @@ def spectral_envelope(s_hat: np.ndarray, cepstral_order: int = DEFAULT_CEPSTRAL_
     Log magnitude (floored relative to the global peak), real cepstrum,
     keep quefrencies below ``cepstral_order``, back to a strictly
     positive envelope.  A silent spectrogram gets a flat unit envelope.
+    The input must pass the rule of every Griffin-Lim entry: 2-D, finite
+    and nonnegative, of any width.
     After the peak it runs ``dsp.CHUNK_ROWS`` frames at a time into one output.
     """
     if cepstral_order < 1:
         raise ValueError("cepstral_order must be >= 1")
-    s = np.asarray(s_hat, dtype=np.float64)
-    if s.ndim != 2:
-        raise ValueError(f"magnitude must be 2-D, got shape {s.shape}")
+    s = _check_magnitude(s_hat, None)
     peak = s.max()
     if peak <= 0.0:
         return np.ones_like(s)

@@ -24,8 +24,9 @@ Every transform works on a :class:`_StftPlan` built per call for one
 (parameters, signal length) pair: the window support, the hop-sized
 output cells, one padded signal and its reflect-pad edge map, and, for a
 synthesis, the squared-window normalizer, one table per cell class.  The
-corrected sampler builds one plan per utterance and runs every burst in
-its padded signal.
+corrected sampler builds one plan per utterance for its chain and runs
+every burst in its padded signal; a SpecGrad prior's shaping, an stft
+and an istft, builds two more.
 Every analysis runs in one loop, :func:`_spectra`, ANALYSIS_ROWS frame
 rows at a time: :func:`stft` writes each chunk into its spectrogram, and
 :func:`stft_magnitude` keeps only each chunk's magnitude, as do the paired

@@ -47,7 +47,7 @@ from .dsp import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlaConfig:
     """Iteration budget, momentum and the seed of the starting phase.
 
@@ -73,11 +73,12 @@ def _check_rounds(iterations: int, momentum: float, prefix: str = "") -> None:
 
 
 def _check_magnitude(s_hat: np.ndarray, n_bins: int, n_frames: int = None) -> np.ndarray:
-    """Float64 ``s_hat``; ValueError unless 2-D, n_frames (any if None) x n_bins, finite, >= 0."""
+    """Float64 ``s_hat``; ValueError unless 2-D, n_frames x n_bins (None: any), finite, >= 0."""
     s = np.asarray(s_hat, dtype=np.float64)
     if s.ndim != 2:
         raise ValueError(f"magnitude must be 2-D, got shape {s.shape}")
     n_frames = s.shape[0] if n_frames is None else n_frames
+    n_bins = s.shape[1] if n_bins is None else n_bins
     if s.shape != (n_frames, n_bins):
         raise ValueError(f"magnitude shape {s.shape} != ({n_frames}, {n_bins})")
     if not np.all(np.isfinite(s)) or s.min() < 0.0:

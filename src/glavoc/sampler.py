@@ -16,6 +16,10 @@ functions.  Besides the target, the chain holds that signal and, during
 a step, one more of its length: the prediction, which it subtracts
 scaled a chunk at a time and drops, and then the step's noise.  A burst
 holds no second signal, and its edges are the engine's to refresh.
+With white noise that is the only plan.  The SpecGrad prior is shaped
+before the chain starts, by :func:`specgrad_shape_noise`, whose stft
+and istft build two more plans and hold the noise's whole complex
+spectrogram.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +47,7 @@ NOISE_MODES = ("white", "specgrad")
 STEP_SAMPLES = 1 << 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerConfig:
     """Everything a sampling run needs besides the predictor and mel input.
 

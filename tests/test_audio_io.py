@@ -225,7 +225,7 @@ def test_24bit_is_rejected(tmp_path):
         read_wav(odd)
 
 
-def test_spec_validation():
+def test_spec_validation(tmp_path):
     with pytest.raises(TypeError):     # mono only: there is no channel setting
         WavSpec(22050, "pcm16", channels=2)
     with pytest.raises(ValueError):
@@ -237,6 +237,16 @@ def test_spec_validation():
     for rate in (MAX_SAMPLE_RATE + 1, 2_000_000_000):
         with pytest.raises(ValueError, match="1..16777216"):
             WavSpec(rate, "float32")
+    # a header holds a whole number of Hz; an integral float writes the int's header
+    for rate in (22050.5, 0.5):
+        with pytest.raises(ValueError, match="whole number of Hz"):
+            WavSpec(rate, "float32")
+    as_float = WavSpec(22050.0, "pcm16")
+    assert as_float == WavSpec(22050, "pcm16") and type(as_float.sample_rate) is int
+    y = Waveform(np.linspace(-0.5, 0.5, 10))
+    write_wav(tmp_path / "f.wav", y, as_float)
+    write_wav(tmp_path / "i.wav", y, WavSpec(22050, "pcm16"))
+    assert (tmp_path / "f.wav").read_bytes() == (tmp_path / "i.wav").read_bytes()
 
 
 # bytes 4-15 of the KSDATAFORMAT_SUBTYPE_PCM and _IEEE_FLOAT GUIDs

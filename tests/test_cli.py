@@ -2,7 +2,10 @@
 
 import argparse
 import csv
+import dataclasses
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -174,6 +177,64 @@ def test_data_errors_exit_2(tmp_path, capsys):
                  "--iters", "2"]) == 2
     assert f"{half_hz}: sample rate 22050.5 != configured 22050" in capsys.readouterr().err
     assert not (tmp_path / "o.wav").exists()
+
+
+def riff(*chunks):
+    """A RIFF/WAVE file of the given (id, body) chunks, each word-aligned."""
+    body = b"".join(struct.pack("<4sI", cid, len(data)) + data + b"\0" * (len(data) & 1)
+                    for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def fmt_chunk(code=1, bits=16):
+    return b"fmt ", struct.pack("<HHIIHH", code, 1, 22050, 22050 * bits // 8, bits // 8, bits)
+
+
+def mels_file(n_frames=10, n_bands=128, rate=22050.0, frames=None):
+    """A .mels file; ``frames`` defaults to ones of the header's shape."""
+    if frames is None:
+        frames = np.ones((n_frames, n_bands))
+    return (b"MELS" + struct.pack("<IIIf", 1, n_frames, n_bands, rate)
+            + np.asarray(frames, dtype="<f4").tobytes())
+
+
+DATA_ERRORS = {
+    "short_fmt_chunk": ("in.wav", riff((b"fmt ", b"\1\0\1\0"), (b"data", b"\0\0")),
+                        "malformed fmt chunk"),
+    "no_fmt_chunk": ("in.wav", riff((b"data", b"\0\0")), "missing fmt or data chunk"),
+    "no_data_chunk": ("in.wav", riff(fmt_chunk()), "missing fmt or data chunk"),
+    "odd_pcm16_payload": ("in.wav", riff(fmt_chunk(), (b"data", b"\0\0\0")),
+                          "odd PCM16 payload size"),
+    "ragged_float32_payload": ("in.wav", riff(fmt_chunk(3, 32), (b"data", b"\0" * 6)),
+                               "float32 payload size not a multiple of 4"),
+    "empty_data_chunk": ("in.wav", riff(fmt_chunk(), (b"data", b"")), "empty data chunk"),
+    "no_mel_frames": ("in.mels", mels_file(n_frames=0), "degenerate dimensions 0x128"),
+    "no_mel_bands": ("in.mels", mels_file(n_bands=0), "degenerate dimensions 10x0"),
+    "zero_mel_rate": ("in.mels", mels_file(rate=0.0), "bad sample rate 0.0"),
+    "nan_mel_rate": ("in.mels", mels_file(rate=np.nan), "bad sample rate nan"),
+    "nan_mel_frame": ("in.mels", mels_file(frames=np.full((10, 128), np.nan)),
+                      "non-finite mel values"),
+    "no_wav_files": ("ref", None, "no wav files to evaluate"),
+}
+
+
+@pytest.mark.parametrize("name", DATA_ERRORS)
+def test_bad_input_files_exit_2_naming_the_file(tmp_path, capsys, name):
+    file_name, content, message = DATA_ERRORS[name]
+    path = tmp_path / file_name
+    out = tmp_path / "out"
+    if content is None:    # a directory of no .wav files
+        path.mkdir()
+        (path / "notes.txt").write_text("not audio\n")
+        (tmp_path / "est").mkdir()
+        argv = ["evaluate", str(path), str(tmp_path / "est"), "-o", str(out)]
+    else:
+        path.write_bytes(content)
+        argv = (["analyze", str(path), "-o", str(out)] if file_name.endswith(".wav")
+                else ["vocode-gla", str(path), "-o", str(out), "--iters", "1"])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith(f"glavoc: error: {path}: {message}\n")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- commands
@@ -455,6 +516,63 @@ def test_evaluate_names_the_file_with_a_non_finite_sample(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"glavoc: error: {est / 'b.wav'}: samples contain non-finite values" in err
     assert not out.exists()
+
+
+BETAS = "7e-06\n0.00014\n0.0021\n0.028\n0.35\n0.7\n"
+
+
+def test_a_piped_schedule_is_read_once(tmp_path, capsys):
+    wav, mels = tmp_path / "in.wav", tmp_path / "in.mels"
+    make_wav(wav)
+    assert main(["analyze", str(wav), "-o", str(mels)]) == 0
+    betas = tmp_path / "betas.txt"
+    betas.write_text(BETAS)
+    assert main(["vocode", str(mels), "-o", str(tmp_path / "file.wav"), "--predictor", "zero",
+                 "--schedule", str(betas)]) == 0
+    fifo = tmp_path / "betas.fifo"
+    os.mkfifo(fifo)
+    done = threading.Event()
+
+    def feed():
+        with open(fifo, "w") as fh:
+            fh.write(BETAS)
+        # as with a reopened /dev/fd/N, a second reader finds the pipe empty
+        while not done.wait(0.01):
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:    # no reader waiting
+                pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        code = main(["vocode", str(mels), "-o", str(tmp_path / "fifo.wav"),
+                     "--predictor", "zero", "--schedule", str(fifo)])
+    finally:
+        done.set()
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))    # frees a writer still opening
+        writer.join()
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "fifo.wav").read_bytes() == (tmp_path / "file.wav").read_bytes()
+    assert f"schedule = {fifo}\n" in capsys.readouterr().err
+
+
+def test_a_config_holds_the_parts_load_checked():
+    cfg = RunConfig(schedule="wg50", correction_steps=9)
+    assert cfg.sampler_config() is cfg.sampler_config()
+    assert cfg.sampler_config().stft_params is cfg.stft_params()
+    assert cfg.gla_config() is cfg.gla_config() and cfg.wav_spec() is cfg.wav_spec()
+    assert cfg.sampler_config().schedule.n_steps == 50
+    # the parts are not keys: they reach neither the echo nor equality
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        ln.split(" = ")[0] for ln in cfg.to_text().splitlines()]
+    assert cfg == RunConfig(schedule="wg50", correction_steps=9)
+    for part, key in ((cfg, "hop"), (cfg.sampler_config(), "gla_iterations"),
+                      (cfg.gla_config(), "iterations")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(part, key, 1201)
+    with pytest.raises(ValueError, match="hop 1201 exceeds win_length 1200"):
+        dataclasses.replace(cfg, hop=1201)
 
 
 # -------------------------------------------------------------- shared set-up

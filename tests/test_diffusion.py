@@ -1,6 +1,7 @@
 """Schedule arithmetic, reverse-step algebra, loss, and noise shaping."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,14 @@ def test_oracle_predictor_length_adaptation():
     assert len(short) == 40
 
 
+
+@pytest.mark.parametrize("sqrt_alpha_bar", [-0.5, np.nan, 0.0, 1.0])
+def test_oracle_predictor_refuses_a_noise_level_outside_the_open_interval(sqrt_alpha_bar):
+    pred = OraclePredictor(Waveform(np.ones(100)))
+    with pytest.raises(ValueError, match=re.escape("sqrt_alpha_bar strictly in (0, 1)")):
+        pred.predict(Waveform(np.zeros(100)), None, sqrt_alpha_bar)
+
+
 # ------------------------------------------------------------------ envelope
 
 def test_envelope_flat_frame():
@@ -319,6 +328,17 @@ def test_envelope_is_smooth():
 def test_envelope_silent_input():
     env = spectral_envelope(np.zeros((4, 1025)), 24)
     assert np.array_equal(env, np.ones((4, 1025)))
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.inf])
+def test_envelope_refuses_what_no_magnitude_holds(bad):
+    # the rule of every Griffin-Lim entry, not a NaN envelope and a numpy warning
+    s = np.ones((4, 1025))
+    s[2, 7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^magnitude must be finite and nonnegative$"):
+            spectral_envelope(s, 24)
 
 
 def whole_envelope(s, order):
