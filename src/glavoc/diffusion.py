@@ -236,15 +236,28 @@ def spectral_envelope(s_hat: np.ndarray, cepstral_order: int = DEFAULT_CEPSTRAL_
 def _envelope(s: np.ndarray, cepstral_order: int) -> np.ndarray:
     """:func:`spectral_envelope` of a float64 magnitude its caller has checked."""
     peak = s.max()
+    env = np.empty_like(s)
+    for r in dsp._chunks(slice(0, s.shape[0]), dsp.CHUNK_ROWS):
+        env[r] = _envelope_rows(s[r], peak, cepstral_order)
+    return env
+
+
+def _envelope_rows(s: np.ndarray, peak: float, cepstral_order: int) -> np.ndarray:
+    """:func:`_envelope`'s rows for the rows ``s`` of a magnitude whose global peak is ``peak``.
+
+    Each row depends on its own magnitude row and the peak alone.
+    """
     if peak <= 0.0:
         return np.ones_like(s)
     n_fft = 2 * (s.shape[1] - 1)
-    env = np.empty_like(s)
-    for r in dsp._chunks(slice(0, s.shape[0]), dsp.CHUNK_ROWS):
-        ceps = np.fft.irfft(np.log(s[r] + ENVELOPE_FLOOR_RATIO * peak), n=n_fft, axis=1)
-        ceps[:, cepstral_order:n_fft - cepstral_order + 1] = 0.0
-        np.exp(np.fft.rfft(ceps, n=n_fft, axis=1).real, out=env[r])
-    return env
+    ceps = np.fft.irfft(np.log(s + ENVELOPE_FLOOR_RATIO * peak), n=n_fft, axis=1)
+    ceps[:, cepstral_order:n_fft - cepstral_order + 1] = 0.0
+    return np.exp(np.fft.rfft(ceps, n=n_fft, axis=1).real)
+
+
+def _check_envelope(env: np.ndarray) -> None:
+    if not np.all(np.isfinite(env)) or env.min() <= 0.0:
+        raise ValueError("envelope must be finite and strictly positive")
 
 
 def specgrad_shape_noise(
@@ -257,8 +270,7 @@ def specgrad_shape_noise(
     identity when the envelope is 1; the envelope scales the spectrogram in place.
     """
     env = np.asarray(envelope, dtype=np.float64)
-    if not np.all(np.isfinite(env)) or env.min() <= 0.0:
-        raise ValueError("envelope must be finite and strictly positive")
+    _check_envelope(env)
     spec = stft(eps_white, params)
     if env.shape != spec.frames.shape:
         raise ValueError(

@@ -24,8 +24,8 @@ Every synthesis works on a :class:`_StftPlan` built per call for one
 (parameters, signal length) pair: the hop-sized output cells, one padded
 signal and its reflect-pad edge map, and the squared-window normalizer,
 one table per cell class.  The corrected sampler builds one plan per
-utterance for its chain and runs every burst in its padded signal; a
-SpecGrad prior's shaping builds one more, for its istft.
+utterance for its chain, shapes a SpecGrad prior and runs every burst
+in its padded signal, and builds no other.
 Every analysis outside a burst runs in one loop, :func:`_spectra`,
 ANALYSIS_ROWS frame rows at a time: :func:`stft` writes each chunk into
 its spectrogram, and :func:`stft_magnitude` keeps only each chunk's
@@ -35,23 +35,28 @@ lies inside the signal read it through one strided view of the caller's
 samples, and the few rows at either end that reach the reflect pad or
 the zero tail read two segments of a few n_fft samples.
 Every synthesis runs in one engine, :func:`_project_rounds`:
-:func:`istft` with no rounds or target, the Griffin-Lim bursts of
-:mod:`glavoc.phase` with theirs.  A step is one pass, CHUNK_ROWS frame
-rows at a time through analysis, magnitude projection and synthesis,
-in one frame buffer and one spectrum buffer per thread, summing each
-frame's windowed pieces into its output cells.  A frame
+:func:`istft` and the SpecGrad prior's shaping with no rounds or target,
+the Griffin-Lim bursts of :mod:`glavoc.phase` with theirs.  Its one start
+argument gives the first pass its rows a chunk at a time: a
+spectrogram's rows, seeded phases under the target, the analysis of the
+signal times an envelope, or by default that analysis alone.  A step is
+one pass, CHUNK_ROWS frame rows at a time through analysis, magnitude
+projection and synthesis, in one frame buffer and one spectrum buffer
+per thread, summing each frame's windowed pieces into its output cells.
+A frame
 reads only the cells it adds to, so once a chunk's rows are done the
 cells below them are finished, and their normalized samples go straight
 back into the padded signal the step reads.  Momentum acts there, on
 the signal: analysis is linear, so the analysis of x_k + m (x_k - x_{k-1})
 is the accelerated iterate, and a burst keeps the plain signal x_{k-1}
 beside the padded one instead of a spectrogram.  Only the engine writes
-the reflect-pad edges, by :meth:`_StftPlan.refresh_edges`: before it
-analyzes the caller's signal and once a round, after every cell is
-written.
+the reflect-pad edges, by :meth:`_StftPlan.refresh_edges`: at the start
+of every call and once a round, after every cell is written.
 Each array is scanned for finiteness by the :class:`ComplexSpectrogram`
 or :class:`Waveform` holding it, or by the analysis loop if none does;
-the engine scans the signal of every burst it started itself.
+the bursts whose last signal no type holds whole, of
+:func:`glavoc.phase.fgla` and :func:`glavoc.phase.gla_correct`, scan it
+with :meth:`_StftPlan.finite_x`.
 
 A call with rounds splits the rows into contiguous blocks, one per core
 the process may run on while each holds MIN_BLOCK_SAMPLES frame samples
@@ -404,6 +409,17 @@ class _StftPlan:
             self.edge_src, self.edge_dst = _reflect(edges, self.length) + pad, edges + pad
         self.sig[self.edge_dst] = self.sig[self.edge_src]
 
+    def finite_x(self) -> np.ndarray:
+        """``x``, scanned CHUNK_ROWS hops at a time: ValueError if a sample is not finite.
+
+        An overflow in any round, the last analysis or synthesis included,
+        leaves such a sample.
+        """
+        for r in _chunks(slice(0, self.length), CHUNK_ROWS * self.p.hop):
+            if not np.isfinite(self.x[r]).all():
+                raise ValueError("spectrogram contains non-finite values")
+        return self.x
+
     def analyze_rows(self, rows: slice, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
         """One-sided spectrum of the windowed frames ``rows`` of the padded signal, into ``out``.
 
@@ -499,15 +515,8 @@ def _row_blocks(plan: _StftPlan) -> list:
     return _split(slice(0, n), max(1, k))
 
 
-def _put_phase(X: np.ndarray, phase: np.ndarray, s: np.ndarray) -> None:
-    """X = s * exp(1j * phase), built in X."""
-    np.multiply(1j, phase, out=X)
-    np.exp(X, out=X)
-    X *= s
-
-
 def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentum: float,
-                    X: np.ndarray = None, seed: int = None) -> np.ndarray:
+                    start=None) -> np.ndarray:
     """Run ``iterations`` projection rounds; return the signal of the last projection.
 
     A round is t_k = P_C(P_mag(C_{k-1})).  With momentum m > 0 the next
@@ -516,20 +525,24 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     Every t_k is the analysis of the signal x_k synthesized from
     P_mag(C_{k-1}), and analysis is linear, so C_k is the analysis of
     x_k + m (x_k - x_{k-1}): the momentum acts on the synthesized samples.
-    C_0 is ``X``, a validated complex array the caller gives up (read
-    only when ``s_hat`` is None); or s_hat under the phases
-    ``np.random.default_rng(seed).uniform(-pi, pi)`` draws in row-major
-    order; or, with neither, the analysis of ``plan.x``, edges refreshed.
-    Every pass, the last too, projects onto ``s_hat`` when it is given,
-    and the output region of the padded signal is returned: a burst ends
-    in the synthesis of its last magnitude projection.  Unless ``X`` is
-    given, raises ValueError, whatever the round count, if that signal is
-    not finite.  The plan's normalizer is built on its first call.
+    C_0's rows come a chunk at a time from ``start(rows, frames, out)``,
+    by default :meth:`_StftPlan.analyze_rows`, the analysis of
+    ``plan.x``: ``frames`` is the chunk's :meth:`_StftPlan.frame_buffer`
+    and ``out`` its spectrum buffer, which the pass projects in place.
+    A pass with no rounds and no target only synthesizes its start, so it
+    gets no spectrum buffer: ``out`` is None, and the pass reads the rows
+    ``start`` returns.  Every call refreshes the edges first.  Every
+    pass, the last too, projects onto ``s_hat`` when it is given, and the
+    output region of the padded signal is returned: a burst ends in the
+    synthesis of its last magnitude projection.  That signal is not
+    scanned here; a caller whose output no :class:`Waveform` holds whole
+    scans it with :meth:`_StftPlan.finite_x`.  The plan's normalizer is
+    built on its first call.
 
     Each step is one pass on the threads of :func:`_row_blocks`, one row
     block each; a call with no rounds runs as one block on the calling
     thread.  The pass takes CHUNK_ROWS rows at a time through the end of
-    round k (analysis, or round 0's start) and the start of round k + 1
+    round k (analysis, or ``start`` in pass 0) and the start of round k + 1
     (magnitude projection and synthesis) while they are in cache, and
     adds each frame's windowed pieces into its block's cell sums; a row
     whose pieces all fall past the last output cell is analyzed but
@@ -555,7 +568,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     the padded signal, so they carry the momentum too.
     """
     p, n_pieces = plan.p, plan.n_pieces
-    analyze_first = X is None and seed is None
+    start = plan.analyze_rows if start is None else start
     xs = np.empty(plan.length) if momentum and iterations > 1 else None
     # a plain synthesis stays on its caller's thread, as stft does
     blocks = _row_blocks(plan) if iterations else [slice(0, plan.n_frames)]
@@ -567,8 +580,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     cell_blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [c1])]
     if plan.norm is None:
         plan.norm = plan._build_norm()
-    if analyze_first:    # the signal may have been written since the last refresh
-        plan.refresh_edges()
+    plan.refresh_edges()    # the signal may have been written since the last call
     # only a pass that another follows waits, so the last one writes no edge
     barrier = threading.Barrier(len(blocks), action=plan.refresh_edges)
     ready = [threading.Semaphore(0) for _ in blocks]    # block i's kept rows are done
@@ -580,7 +592,8 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
         shared = heads[i + 1] if i + 1 < len(blocks) else slice(0, 0)    # rows of block i + 1
         m = min(CHUNK_ROWS, rows.stop - rows.start)
         frames = plan.frame_buffer(m)    # a chunk's analysis reads it, its synthesis fills it
-        spectra = np.empty((m, p.n_bins), dtype=np.complex128) if iterations or X is None else None
+        spectra = (np.empty((m, p.n_bins), dtype=np.complex128)
+                   if iterations or s_hat is not None else None)
         # a projection's |C| is spent before the chunk's irfft fills frames
         ratio = frames.reshape(-1)[:m * p.n_bins].reshape(m, p.n_bins)
         acc = np.empty((m + n_pieces - 1, p.hop))    # the cells from `done` on
@@ -596,9 +609,6 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                 acc[-n:] = 0.0
                 done = stop
 
-        if seed is not None:    # one 64-bit draw per entry before the block's rows
-            rng = np.random.default_rng(seed)
-            rng.bit_generator.advance(rows.start * p.n_bins)
         for k in range(iterations + 1):
             last = k == iterations
             # pass k synthesizes x_{k+1}; the padded signal gets C_{k+1}'s signal
@@ -607,11 +617,8 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
             done = cells.start
             for r in _chunks(rows, CHUNK_ROWS):
                 n = r.stop - r.start
-                C = X[r] if k == 0 and X is not None else spectra[:n]
-                if k or analyze_first:    # finish round k: C_k
-                    plan.analyze_rows(r, frames, out=C)
-                elif seed is not None:
-                    _put_phase(C, rng.uniform(-np.pi, np.pi, C.shape), s_hat[r])
+                out = None if spectra is None else spectra[:n]
+                C = (plan.analyze_rows if k else start)(r, frames, out)    # finish round k: C_k
                 # the rows from c1 on are neither projected nor synthesized
                 n = min(n, max(0, c1 - r.start))
                 C = C[:n]
@@ -661,11 +668,6 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
               if e is not None and not isinstance(e, threading.BrokenBarrierError)]
     if failed:
         raise failed[0]
-    # an overflow in any round, the last analysis or synthesis included,
-    # leaves a sample that is not finite
-    if X is None and not all(np.isfinite(plan.x[r]).all()
-                             for r in _chunks(slice(0, plan.length), CHUNK_ROWS * p.hop)):
-        raise ValueError("spectrogram contains non-finite values")
     return plan.x
 
 
@@ -772,5 +774,5 @@ def istft(C: ComplexSpectrogram, target_length: int | None = None) -> Waveform:
     length = (C.origin_length if target_length is None
               else C.params.synthesis_length(C.n_frames, target_length))
     plan = _StftPlan(C.params, length, C.n_frames)
-    return Waveform(_project_rounds(plan, None, 0, 0.0, X=C.frames))
+    return Waveform(_project_rounds(plan, None, 0, 0.0, lambda rows, frames, out: C.frames[rows]))
 

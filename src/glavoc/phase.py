@@ -16,14 +16,18 @@ of an extrapolated iterate (Griffin and Lim, 1984; Perraudin et al.,
 Momentum acts on the synthesized signals: the analysis of
 x_k + m (x_k - x_{k-1}) is the accelerated iterate, so a burst keeps a
 second signal, not the previous iterate.
-:func:`initial_spectrogram` draws its phases without a plan or engine.
+:func:`fgla`'s first pass and :func:`initial_spectrogram` draw the same
+seeded phases, a chunk of rows at a time, by :func:`_seeded_phase`;
+:func:`initial_spectrogram` builds no plan.  :func:`gla` copies each chunk
+of its starting spectrogram into the engine's chunk buffer as the first
+pass reads it, and keeps no whole copy.
 Inputs are validated at the public entry points, never per round, by
 :func:`_check_rounds` and :func:`_check_magnitude`.  The
 :class:`Waveform` and :class:`ComplexSpectrogram` of :func:`gla` check
-its signal and frames for overflow; for :func:`fgla` and
-:func:`gla_correct`, whose last iterate no such type holds, the engine
-checks the signal it synthesizes, so an overflow raises the same
-ValueError whatever the round count.  :func:`gla_correct`'s burst runs
+its signal and frames for overflow; :func:`fgla` and :func:`_correct`,
+whose last iterate no such type holds, check the signal the engine
+synthesizes, so an overflow raises the same ValueError whatever the
+round count.  :func:`gla_correct`'s burst runs
 in :func:`_correct`, on a plan its caller may keep: the corrected
 sampler runs every burst of an utterance on one plan, and the engine
 refreshes its edges.
@@ -40,7 +44,6 @@ from .dsp import (
     Waveform,
     _StftPlan,
     _project_rounds,
-    _put_phase,
     _set_magnitude,
     istft,
     stft,
@@ -110,8 +113,12 @@ def gla(C0: ComplexSpectrogram, s_hat: np.ndarray, iterations: int) -> ComplexSp
         return C0
     C0.params.check_length(C0.n_frames, C0.origin_length)
     plan = _StftPlan(C0.params, C0.origin_length, C0.n_frames)
-    return stft(Waveform(_project_rounds(plan, s, iterations - 1, 0.0, X=C0.frames.copy())),
-                C0.params)
+
+    def start(rows, frames, out):    # a copy of C0's rows, which the pass projects in place
+        out[...] = C0.frames[rows]
+        return out
+
+    return stft(Waveform(_project_rounds(plan, s, iterations - 1, 0.0, start)), C0.params)
 
 
 def gla_correct(
@@ -142,8 +149,25 @@ def _correct(plan: _StftPlan, s: np.ndarray, iterations: int, momentum: float) -
     the last burst.  Raises ValueError if the corrected signal is not finite.
     """
     if iterations == 0:
-        return _project_rounds(plan, None, 0, 0.0)
-    return _project_rounds(plan, s, iterations - 1, momentum)
+        _project_rounds(plan, None, 0, 0.0)
+    else:
+        _project_rounds(plan, s, iterations - 1, momentum)
+    return plan.finite_x()
+
+
+def _seeded_phase(s: np.ndarray, rows: slice, seed: int, out: np.ndarray) -> np.ndarray:
+    """The rows ``rows`` of s under uniform random phase, built in ``out``.
+
+    The phases are those ``np.random.default_rng(seed).uniform(-pi, pi)``
+    draws in row-major order over all of ``s``: the generator skips one
+    64-bit draw per entry before the rows.
+    """
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(rows.start * s.shape[1])
+    np.multiply(1j, rng.uniform(-np.pi, np.pi, out.shape), out=out)
+    np.exp(out, out=out)
+    out *= s[rows]
+    return out
 
 
 def initial_spectrogram(
@@ -157,9 +181,8 @@ def initial_spectrogram(
     """
     s = _check_magnitude(s_hat, params.n_bins)
     X = np.empty(s.shape, dtype=np.complex128)
-    rng = np.random.default_rng(cfg.seed)
     for r in dsp._chunks(slice(0, s.shape[0]), dsp.CHUNK_ROWS):    # no phase array spans s
-        _put_phase(X[r], rng.uniform(-np.pi, np.pi, X[r].shape), s[r])
+        _seeded_phase(s, r, cfg.seed, X[r])
     return ComplexSpectrogram(X, params, params.max_length_for_frames(s.shape[0]))
 
 
@@ -186,5 +209,6 @@ def fgla(
     s = _check_magnitude(s_hat, params.n_bins)
     target_length = params.synthesis_length(s.shape[0], target_length)
     plan = _StftPlan(params, params.max_length_for_frames(s.shape[0]), s.shape[0])
-    out = _project_rounds(plan, s, cfg.iterations, cfg.momentum, seed=cfg.seed)
-    return Waveform(out[:target_length])
+    _project_rounds(plan, s, cfg.iterations, cfg.momentum,
+                    lambda rows, frames, out: _seeded_phase(s, rows, cfg.seed, out))
+    return Waveform(plan.finite_x()[:target_length])

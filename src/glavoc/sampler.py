@@ -16,11 +16,15 @@ functions.  Besides the target, the chain holds that signal and, during
 a step, one more of its length: the prediction, which it subtracts
 scaled a chunk at a time and drops, and then the step's noise.  A burst
 holds no second signal, and its edges are the engine's to refresh.
-With white noise that is the only plan.  The SpecGrad prior is shaped
-before the chain starts, by :func:`specgrad_shape_noise`, whose istft
-builds one more plan, and which holds the noise's whole complex
-spectrogram.  The lifted target is checked once, for the envelope and
-every burst alike.
+The SpecGrad prior is shaped before the chain starts, in one engine pass
+with no rounds on the same plan: a chunk of rows at a time, the analysis
+of the drawn noise times the envelope rows that :func:`_envelope_rows`
+builds from the target's rows and its global peak, synthesized back
+into the signal in place.  So that is the only plan, and no whole
+envelope or complex spectrogram is held; the bits are those of
+:func:`glavoc.diffusion.specgrad_shape_noise` with
+:func:`glavoc.diffusion.spectral_envelope`.  The lifted
+target is checked once, for the envelope and every burst alike.
 """
 
 from dataclasses import dataclass, field
@@ -31,13 +35,13 @@ from .diffusion import (
     DEFAULT_CEPSTRAL_ORDER,
     NoisePredictor,
     NoiseSchedule,
+    _check_envelope,
     _check_same_length,
-    _envelope,
+    _envelope_rows,
     schedule_from_betas,
-    specgrad_shape_noise,
     WG6_BETAS,
 )
-from .dsp import StftParams, Waveform, _StftPlan, _chunks
+from .dsp import StftParams, Waveform, _StftPlan, _chunks, _project_rounds
 from .melscale import MelSpectrogram, pseudo_inverse_magnitude
 from .phase import _check_magnitude, _check_rounds, _correct, gla_correct  # noqa: F401  (importable here)
 
@@ -119,10 +123,19 @@ def sample(
     y = plan.x
     rng.standard_normal(out=y)
     if cfg.noise_shaping == "specgrad":
-        env = _envelope(s_hat, cfg.cepstral_order)
+        peak = s_hat.max()
+
+        def shaped(rows, frames, out):    # the noise's analysis times the envelope's rows
+            # a log of zero is reported once, as the envelope's ValueError
+            with np.errstate(divide="ignore", invalid="ignore"):
+                env = _envelope_rows(s_hat[rows], peak, cfg.cepstral_order)
+            _check_envelope(env)
+            C = plan.analyze_rows(rows, frames, out)
+            C *= env
+            return C
+
+        _project_rounds(plan, None, 0, 0.0, shaped)
         s_hat = s_hat if corrected else None    # no burst reads the target
-        y[...] = specgrad_shape_noise(Waveform(y), env, params).samples
-        del env
 
     n_steps = sched.n_steps
     for n in range(n_steps, 0, -1):

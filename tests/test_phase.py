@@ -386,6 +386,21 @@ def test_istft_allocates_only_synthesis_buffers():
     assert peak < 8 * len(y) + dsp.CHUNK_ROWS * P.n_fft * 8 + 500_000
 
 
+def test_gla_keeps_no_copy_of_its_starting_spectrogram(monkeypatch):
+    # the peak is the last analysis: the output spectrogram (16.4 kB a
+    # frame) beside the padded signal (8 bytes a sample), the burst's
+    # chunk buffers freed; each chunk of C0 is copied into the engine's
+    # spectrum buffer as the first pass reads it.  A copy of C0 would hold
+    # 16.4 kB a frame through the burst, beside two threads' chunk buffers
+    monkeypatch.setattr(dsp, "_cores", lambda: 2)
+    C0 = stft(Waveform(np.random.default_rng(30).standard_normal(10 * 22050)), P)
+    s_hat = C0.magnitude()
+    assert len(dsp._row_blocks(burst_plan(P, C0.n_frames))) == 2
+    peak = traced_peak(lambda: gla(C0, s_hat, 3))
+    signal = (C0.n_frames - 1) * P.hop + P.n_fft
+    assert peak < 16 * C0.frames.size + 8 * signal + 2_000_000
+
+
 def test_initial_spectrogram_allocates_only_the_iterate():
     # the iterate and one chunk of phase draws: no padded signal, edge map
     # or chunk buffer of a transform

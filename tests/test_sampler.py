@@ -234,6 +234,35 @@ def test_sampler_rejects_mels_no_signal_produces():
                 sample(ZeroPredictor(), mel, SamplerConfig(), target_length=target_length)
 
 
+@pytest.mark.parametrize("noise", ("white", "specgrad"))
+def test_sample_builds_one_plan_per_utterance(noise, monkeypatch):
+    # the chain, its bursts and the SpecGrad prior's shaping share one plan
+    built = []
+
+    class CountedPlan(dsp._StftPlan):
+        def __init__(self, p, length, n_frames):
+            built.append((length, n_frames))
+            super().__init__(p, length, n_frames)
+
+    for module in (dsp, phase, sampler_mod):
+        monkeypatch.setattr(module, "_StftPlan", CountedPlan)
+    sample(ZeroPredictor(), MEL, SamplerConfig(gla_iterations=2, noise_shaping=noise, seed=3),
+           target_length=L)
+    assert built == [(L, MEL.n_frames)]
+
+
+@pytest.mark.parametrize("steps", (0, 3))
+def test_specgrad_sample_rejects_an_envelope_that_is_not_finite(steps):
+    # a lift of tiny mel values has zeros and a peak whose floor underflows,
+    # so the envelope takes the log of 0: one ValueError, and no numpy warning
+    mel = MelSpectrogram(np.full((20, FB.n_bands), 1e-320), FB)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^envelope must be finite and strictly positive$"):
+            sample(ZeroPredictor(), mel,
+                   SamplerConfig(correction_steps=steps, noise_shaping="specgrad"))
+
+
 def test_corrections_hit_only_the_earliest_steps(monkeypatch):
     events = []
     real_correct = sampler_mod._correct
