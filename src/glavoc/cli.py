@@ -17,13 +17,20 @@ lockstep, a few frames at a time, and keep only the metrics' running
 sums.  Analysis reads its frames straight from the samples, so no
 command makes a padded copy of a signal it analyzes, and ``analyze``
 drops its samples once analyzed, before the mel product.
+
+``evaluate --jobs N`` scores its pairs on the calling thread and
+``min(N, pairs) - 1`` helper threads, so ``--jobs 1`` starts no thread.
+All of them take pairs from one shared queue, the longest reference
+first (ties by name), so the longest pair never starts last.  The
+report lists the pairs in name order whatever thread scored them.
 """
 
 import argparse
 import dataclasses
 import functools
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +273,47 @@ def _evaluate_pair(name, ref_dir, est_dir, cfg, p):
         raise ValueError(f"{name}: {exc}") from exc
 
 
+def _run_longest_first(run, names, sizes, jobs) -> list:
+    """``run(name)`` of every name, in the order of ``names``.
+
+    The calling thread and ``min(jobs, len(names)) - 1`` helpers take
+    names from one queue, the largest size first and ties in the order
+    of ``names``.  Every name runs even after one fails; the failure
+    that comes first in ``names`` is then raised.  A BaseException on
+    the calling thread stops handing out names, joins the helpers and
+    propagates.
+    """
+    todo = deque(sorted(range(len(names)), key=lambda i: (-sizes[i], i)))
+    results = [None] * len(names)
+
+    def work(caught):
+        while True:
+            try:
+                i = todo.popleft()
+            except IndexError:
+                return
+            try:
+                results[i] = run(names[i])
+            except caught as exc:    # raised below, once every name has run
+                results[i] = exc
+
+    # a helper keeps whatever it raises for the calling thread to raise
+    helpers = [threading.Thread(target=work, args=(BaseException,))
+               for _ in range(min(jobs, len(names)) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work(Exception)
+    finally:
+        todo.clear()    # after a BaseException here, no helper takes another name
+        for thread in helpers:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
+
+
 def cmd_evaluate(args, cfg) -> int:
     ref_dir = Path(args.ref_dir)
     est_dir = Path(args.est_dir)
@@ -278,11 +326,10 @@ def cmd_evaluate(args, cfg) -> int:
             f"{est_dir}: missing counterparts for {', '.join(missing)}"
         )
     p = cfg.stft_params()    # one window, checked once, for every pair
+    sizes = [(ref_dir / n).stat().st_size for n in names]
+    results = _run_longest_first(lambda n: _evaluate_pair(n, ref_dir, est_dir, cfg, p),
+                                 names, sizes, cfg.jobs)
     report = EvalReport()
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        results = list(pool.map(
-            lambda n: _evaluate_pair(n, ref_dir, est_dir, cfg, p), names
-        ))
     for name, row in results:
         for metric, value in row.items():
             report.add(name, metric, value)

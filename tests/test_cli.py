@@ -5,6 +5,8 @@ import csv
 import dataclasses
 import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -368,6 +370,137 @@ def test_evaluate_names_the_pair_whose_metrics_fail(tmp_path, capsys):
     assert main(["evaluate", str(ref), str(est), "-o", str(out), "--jobs", "2"]) == 2
     assert "glavoc: error: b.wav: snr needs a nonzero reference" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _spy_threads(monkeypatch) -> list:
+    """The threads glavoc.cli makes from now on; each is a real thread."""
+    made, real = [], threading.Thread
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli.threading, "Thread", spy)
+    return made
+
+
+def _spy_pairs(monkeypatch) -> list:
+    """The names glavoc.cli scores from now on, in the order scoring starts."""
+    started, real = [], cli._evaluate_pair
+
+    def spy(name, *args):
+        started.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr(cli, "_evaluate_pair", spy)
+    return started
+
+
+def _mixed_pairs(tmp_path, lengths: dict):
+    ref, est = tmp_path / "ref", tmp_path / "est"
+    ref.mkdir()
+    est.mkdir()
+    for i, (name, n) in enumerate(sorted(lengths.items())):
+        make_wav(ref / name, n=n, seed=i)
+        make_wav(est / name, n=n, seed=i + 10)
+    return ref, est
+
+
+def test_evaluate_report_is_the_same_at_any_job_count(tmp_path, capsys, monkeypatch):
+    ref, est = _mixed_pairs(tmp_path, {"a.wav": 3000, "b.wav": 9000, "c.wav": 5000})
+    made = _spy_threads(monkeypatch)
+    reports = {}
+    for jobs in (1, 2, 3, 64):
+        out = tmp_path / f"r{jobs}.csv"
+        before = len(made)
+        assert main(["evaluate", str(ref), str(est), "-o", str(out), "--jobs", str(jobs)]) == 0
+        assert len(made) - before == min(jobs, 3) - 1    # the calling thread scores too
+        assert not any(t.is_alive() for t in made)
+        reports[jobs] = out.read_bytes()
+    assert reports[2] == reports[1] and reports[3] == reports[1] and reports[64] == reports[1]
+    capsys.readouterr()
+
+
+def test_evaluate_takes_the_longest_reference_first(tmp_path, capsys, monkeypatch):
+    ref, est = _mixed_pairs(tmp_path, {"a.wav": 4000, "b.wav": 6000, "c.wav": 9000,
+                                       "d.wav": 6000})
+    started = _spy_pairs(monkeypatch)
+    assert main(["evaluate", str(ref), str(est), "-o", str(tmp_path / "r.csv")]) == 0
+    assert started == ["c.wav", "b.wav", "d.wav", "a.wav"]    # ties by name
+    rows = list(csv.reader((tmp_path / "r.csv").read_text().splitlines()))[1:]
+    assert [r[0] for r in rows if not r[0].startswith("__")] == \
+        ["a.wav"] * 3 + ["b.wav"] * 3 + ["c.wav"] * 3 + ["d.wav"] * 3    # reported by name
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_evaluate_raises_the_first_failure_by_name_after_every_pair(tmp_path, capsys,
+                                                                     monkeypatch, jobs):
+    # b.wav's reference is the longer, so it is scored first and fails first
+    ref, est = _mixed_pairs(tmp_path, {"a.wav": 3000, "c.wav": 5000})
+    for name, n in (("a.wav", 4000), ("b.wav", 8000)):
+        write_wav(ref / name, Waveform(np.zeros(n)), WavSpec(22050, "float32"))
+        make_wav(est / name, n=n)
+    started = _spy_pairs(monkeypatch)
+    out = tmp_path / "report.csv"
+    assert main(["evaluate", str(ref), str(est), "-o", str(out), "--jobs", str(jobs)]) == 2
+    assert "glavoc: error: a.wav: snr needs a nonzero reference" in capsys.readouterr().err
+    assert sorted(started) == ["a.wav", "b.wav", "c.wav"]    # every pair ran
+    if jobs == 1:
+        assert started[0] == "b.wav"
+    assert not out.exists()
+
+
+def test_an_interrupt_on_the_calling_thread_stops_evaluate(tmp_path, capsys, monkeypatch):
+    ref, est = _mixed_pairs(tmp_path, {f"{c}.wav": 3000 for c in "abcdef"})
+    made = _spy_threads(monkeypatch)
+    started, real, interrupting = [], cli._evaluate_pair, threading.Event()
+
+    def interrupted(name, *args):
+        started.append(name)
+        if threading.current_thread() is threading.main_thread():
+            interrupting.set()
+            raise KeyboardInterrupt
+        interrupting.wait(10)    # the helper's pair outlasts the caller's
+        return real(name, *args)
+
+    monkeypatch.setattr(cli, "_evaluate_pair", interrupted)
+    out = tmp_path / "report.csv"
+    with pytest.raises(KeyboardInterrupt):
+        main(["evaluate", str(ref), str(est), "-o", str(out), "--jobs", "2"])
+    assert len(made) == 1 and not made[0].is_alive()    # the helper was joined
+    # one pair on each thread, and none handed out after the interrupt
+    assert len(started) <= 2 and not out.exists()
+    capsys.readouterr()
+
+
+def test_every_pair_is_taken_once_under_fast_thread_switches():
+    # four threads on a shared queue, switching every microsecond: a pair
+    # taken twice or lost shows in the names run and in the results
+    names = [f"{i:03d}.wav" for i in range(400)]
+    sizes = [i % 7 for i in range(400)]
+    ran = []
+
+    def run(name):
+        ran.append(name)
+        return name.upper()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = cli._run_longest_first(run, names, sizes, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == names
+    assert results == [n.upper() for n in names]
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, glavoc.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_reports_quote_file_names(tmp_path, capsys):
