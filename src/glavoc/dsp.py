@@ -21,19 +21,22 @@ accept those.  :meth:`~StftParams.check_length` admits only the lengths
 that analyze back to exactly n frames, which a projection round needs.
 
 Every synthesis works on a :class:`_StftPlan` built per call for one
-(parameters, signal length) pair: the hop-sized output cells, one padded
-signal and its reflect-pad edge map, and the squared-window normalizer,
-one table per cell class.  The corrected sampler builds one plan per
-utterance for its chain, shapes a SpecGrad prior and runs every burst
-in its padded signal, and builds no other.
-Every analysis outside a burst runs in one loop, :func:`_spectra`,
-ANALYSIS_ROWS frame rows at a time: :func:`stft` writes each chunk into
-its spectrogram, and :func:`stft_magnitude` keeps only each chunk's
-magnitude, as do the paired scores of :mod:`glavoc.cli`, which keep
-neither.  It builds no plan and copies no signal: the rows whose window
-lies inside the signal read it through one strided view of the caller's
-samples, and the few rows at either end that reach the reflect pad or
-the zero tail read two segments of a few n_fft samples.
+(parameters, signal length) pair, whole once built: the hop-sized output
+cells, one padded signal and its reflect-pad edge map, and the
+squared-window normalizer, one table per cell class, so a geometry that
+cannot normalize every output sample fails at construction.  The
+corrected sampler builds one plan per utterance for its chain, shapes a
+SpecGrad prior and runs every burst in its padded signal, and builds no
+other.
+Every analysis windows its frame supports and takes their rfft in one
+kernel, :func:`_analyze`.  Outside a burst it runs in one loop,
+:func:`_spectra`, ANALYSIS_ROWS frame rows at a time: :func:`stft`
+writes each chunk into its spectrogram, and :func:`stft_magnitude` keeps
+only each chunk's magnitude, as do the paired scores of
+:mod:`glavoc.cli`, which keep neither.  It builds no plan and copies no
+signal: a chunk whose supports lie inside the signal reads them through
+one strided view of the caller's samples, and a chunk at either end
+reads one segment of its own samples, the reflect pad and the zero tail.
 Every synthesis runs in one engine, :func:`_project_rounds`:
 :func:`istft` and the SpecGrad prior's shaping with no rounds or target,
 the Griffin-Lim bursts of :mod:`glavoc.phase` with theirs.  Its one start
@@ -221,12 +224,12 @@ class StftParams:
     def check_synthesis(self) -> None:
         """Raise ValueError unless synthesis can normalize every output sample.
 
-        Builds the squared-window normalizer of one probe plan of
-        2 * (n_fft + hop) samples, long enough to hold both edges of the
-        output region and a stretch of its interior.
+        Builds one probe plan, and so its normalizer, of 2 * (n_fft + hop)
+        samples, long enough to hold both edges of the output region and a
+        stretch of its interior.
         """
         length = 2 * (self.n_fft + self.hop)
-        _StftPlan(self, length, self.frames_for_length(length))._build_norm()
+        _StftPlan(self, length, self.frames_for_length(length))
 
 
 @dataclass
@@ -295,6 +298,18 @@ def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
     return np.where(folded >= n, period - folded, folded)
 
 
+def _analyze(windows: np.ndarray, p: StftParams, frames: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    """One-sided spectra of the frame supports ``windows`` under the window, into ``out``.
+
+    ``frames`` is an n_fft-wide buffer of at least that many rows, zero
+    outside ``p.support``; the windowed supports are written over it.
+    """
+    frames = frames[:windows.shape[0]]
+    np.multiply(windows, p.window, out=frames[:, p.support])
+    return np.fft.rfft(frames, n=p.n_fft, axis=1, out=out)
+
+
 class _StftPlan:
     """Geometry and buffers for the engine's passes over one (params, signal length).
 
@@ -303,11 +318,13 @@ class _StftPlan:
     signal: the signal from sample ``pad_amount`` on, reflect-padded at
     both ends and zero past that; ``x`` views the signal itself, the
     output region.  Analysis reads its frames, and synthesis writes
-    finished samples back into it in place.
+    finished samples back into it in place.  The normalizer ``norm`` and
+    the reflect-edge map are built with the plan, so construction raises
+    ValueError for a geometry that cannot normalize every output sample.
 
-    :meth:`analyze_rows` windows a slice of frame rows of the signal
-    through an n_fft-wide buffer and takes their rfft;
-    :meth:`synthesize_rows` takes the irfft and window of spectrum rows.
+    :meth:`analyze_rows` takes a slice of frame rows of the signal through
+    :func:`_analyze`; :meth:`synthesize_rows` takes the irfft and window
+    of spectrum rows.
     :meth:`_cell_sums` adds windowed frames into hop-sized output cells,
     of which ``cells`` covers the output region, and :meth:`write`
     normalizes finished cells into the output region, adding momentum
@@ -327,19 +344,15 @@ class _StftPlan:
         self.cells = slice((p.pad_amount - left) // p.hop,
                            -(-(p.pad_amount + length - left) // p.hop))
         self.n_pieces = -(-p.win_length // p.hop)
-        self.norm = None
+        self.norm = self._build_norm()    # first, so a degenerate geometry allocates no signal
+        pad = p.pad_amount
         self.sig = np.empty((n_frames - 1) * p.hop + p.n_fft)
-        self.sig[length + 2 * p.pad_amount:] = 0.0
-        self.x = self.sig[p.pad_amount:p.pad_amount + length]    # the output region
+        self.sig[length + 2 * pad:] = 0.0
+        self.x = self.sig[pad:pad + length]    # the output region
         self.windows = np.lib.stride_tricks.sliding_window_view(
             self.sig[left:], p.win_length)[::p.hop][:n_frames]
-        self.edge_src = self.edge_dst = None
-
-    def frame_buffer(self, rows: int) -> np.ndarray:
-        """An n_fft-wide buffer of ``rows`` frames, zero outside the window support."""
-        buf = np.empty((rows, self.p.n_fft))
-        self.clear_margins(buf)
-        return buf
+        edges = np.r_[-pad:0, length:length + pad]
+        self.edge_src, self.edge_dst = _reflect(edges, length) + pad, edges + pad
 
     def clear_margins(self, buf: np.ndarray) -> None:
         """Zero the columns of ``buf`` outside the window support, as analysis expects."""
@@ -403,10 +416,6 @@ class _StftPlan:
 
     def refresh_edges(self) -> None:
         """Copy each reflect-pad edge position from the sample it mirrors."""
-        pad = self.p.pad_amount
-        if self.edge_src is None:
-            edges = np.r_[-pad:0, self.length:self.length + pad]
-            self.edge_src, self.edge_dst = _reflect(edges, self.length) + pad, edges + pad
         self.sig[self.edge_dst] = self.sig[self.edge_src]
 
     def finite_x(self) -> np.ndarray:
@@ -423,12 +432,9 @@ class _StftPlan:
     def analyze_rows(self, rows: slice, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
         """One-sided spectrum of the windowed frames ``rows`` of the padded signal, into ``out``.
 
-        ``buf`` is a :meth:`frame_buffer` of at least that many rows.
+        ``buf`` is :func:`_analyze`'s frame buffer, of at least that many rows.
         """
-        p = self.p
-        frames = buf[:rows.stop - rows.start]
-        np.multiply(self.windows[rows], p.window, out=frames[:, self.support])
-        return np.fft.rfft(frames, n=p.n_fft, axis=1, out=out)
+        return _analyze(self.windows[rows], self.p, buf, out)
 
     def synthesize_rows(self, C: np.ndarray, buf: np.ndarray) -> np.ndarray:
         """The windowed supports of the irfft of the rows ``C``, computed in ``buf``."""
@@ -527,8 +533,9 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     x_k + m (x_k - x_{k-1}): the momentum acts on the synthesized samples.
     C_0's rows come a chunk at a time from ``start(rows, frames, out)``,
     by default :meth:`_StftPlan.analyze_rows`, the analysis of
-    ``plan.x``: ``frames`` is the chunk's :meth:`_StftPlan.frame_buffer`
-    and ``out`` its spectrum buffer, which the pass projects in place.
+    ``plan.x``: ``frames`` is the chunk's frame buffer, zero outside the
+    window support, and ``out`` its spectrum buffer, which the pass
+    projects in place.
     A pass with no rounds and no target only synthesizes its start, so it
     gets no spectrum buffer: ``out`` is None, and the pass reads the rows
     ``start`` returns.  Every call refreshes the edges first.  Every
@@ -536,8 +543,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     output region of the padded signal is returned: a burst ends in the
     synthesis of its last magnitude projection.  That signal is not
     scanned here; a caller whose output no :class:`Waveform` holds whole
-    scans it with :meth:`_StftPlan.finite_x`.  The plan's normalizer is
-    built on its first call.
+    scans it with :meth:`_StftPlan.finite_x`.
 
     Each step is one pass on the threads of :func:`_row_blocks`, one row
     block each; a call with no rounds runs as one block on the calling
@@ -578,8 +584,6 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
                              for b in blocks[1:]]
     cuts = [min(max(h.stop, c0), c1) for h in heads]
     cell_blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [c1])]
-    if plan.norm is None:
-        plan.norm = plan._build_norm()
     plan.refresh_edges()    # the signal may have been written since the last call
     # only a pass that another follows waits, so the last one writes no edge
     barrier = threading.Barrier(len(blocks), action=plan.refresh_edges)
@@ -591,7 +595,7 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
         rows, head, cells = blocks[i], heads[i], cell_blocks[i]
         shared = heads[i + 1] if i + 1 < len(blocks) else slice(0, 0)    # rows of block i + 1
         m = min(CHUNK_ROWS, rows.stop - rows.start)
-        frames = plan.frame_buffer(m)    # a chunk's analysis reads it, its synthesis fills it
+        frames = np.zeros((m, p.n_fft))    # a chunk's analysis reads it, its synthesis fills it
         spectra = (np.empty((m, p.n_bins), dtype=np.complex128)
                    if iterations or s_hat is not None else None)
         # a projection's |C| is spent before the chunk's irfft fills frames
@@ -671,66 +675,43 @@ def _project_rounds(plan: _StftPlan, s_hat: np.ndarray, iterations: int, momentu
     return plan.x
 
 
-def _frame_windows(x: np.ndarray, p: StftParams, n_frames: int) -> list:
-    """(rows, windows) pairs, in row order, whose windows are the frame supports of ``x``.
-
-    Row t's support starts at sample support.start - pad_amount + t * hop
-    of ``x``.  The rows whose support lies inside ``x`` view it directly,
-    with its own stride.  The rows before them reach into the reflect
-    pad, and the rows after them into the reflect pad or the zero tail
-    past it; each of these two groups reads a small segment of the padded
-    signal, under one support and a hop or two besides the pad.
-    ``windows[i]`` is row rows.start + i.
-    """
-    n, hop, win, pad = x.shape[0], p.hop, p.win_length, p.pad_amount
-    start = p.support.start - pad    # <= 0
-    head = min(n_frames, -(start // hop))    # the first row starting at a sample of x
-    tail = max(head, min(n_frames, (n - win - start) // hop + 1))    # the first row ending past x
-
-    def segment(rows: slice) -> np.ndarray:
-        idx = np.arange(start + rows.start * hop, start + (rows.stop - 1) * hop + win)
-        seg = np.zeros(idx.shape[0])
-        inside = idx < n + pad
-        seg[inside] = x[_reflect(idx[inside], n)]
-        return np.lib.stride_tricks.sliding_window_view(seg, win)[::hop]
-
-    groups = []
-    if head:
-        groups.append((slice(0, head), segment(slice(0, head))))
-    if head < tail:    # row head ends inside x, so x holds a support
-        groups.append((slice(head, tail),
-                       np.lib.stride_tricks.sliding_window_view(x, win)[start + head * hop::hop]))
-    if tail < n_frames:
-        groups.append((slice(tail, n_frames), segment(slice(tail, n_frames))))
-    return groups
-
-
 def _spectra(x: np.ndarray, p: StftParams, out: np.ndarray = None):
     """Yield (rows, spectra): the frames of the samples ``x``, ANALYSIS_ROWS rows at a time.
 
-    The frames are read from ``x`` through :func:`_frame_windows`, so no
-    padded copy of the signal is made and ``x`` is only read.  The
-    one-sided spectra of each chunk land in ``out[rows]`` if ``out``
-    is given, a complex array of frames x bins whose holder checks it;
-    else in one chunk buffer that the next chunk overwrites, and a chunk
-    that is not finite raises ValueError.  Each row's rfft is independent
-    of the others, so the split changes no bit.
+    Row t's support starts at sample support.start - pad_amount + t * hop
+    of ``x``.  A chunk whose supports lie inside ``x`` reads them through
+    one strided view of ``x``; any other chunk reads one segment of its
+    own samples, the samples of ``x`` it covers copied in, its reflect-pad
+    positions gathered and the zero tail left zero.  So no padded copy of
+    the signal is made and ``x`` is only read.  The one-sided spectra of
+    each chunk land in ``out[rows]`` if ``out`` is given, a complex array
+    of frames x bins whose holder checks it; else in one chunk buffer
+    that the next chunk overwrites, and a chunk that is not finite raises
+    ValueError.  Each row's rfft is independent of the others, so the
+    split changes no bit.
     """
-    n_frames = p.frames_for_length(x.shape[0])
-    groups = _frame_windows(x, p, n_frames)
+    n, hop, win, pad = x.shape[0], p.hop, p.win_length, p.pad_amount
+    n_frames = p.frames_for_length(n)
+    start = p.support.start - pad    # where row 0's support starts, <= 0
+    inside = np.lib.stride_tricks.sliding_window_view(x, win) if n >= win else None
     m = min(ANALYSIS_ROWS, n_frames)
     frames = np.zeros((m, p.n_fft))    # zero outside the window support
     buf = np.empty((m, p.n_bins), dtype=np.complex128) if out is None else None
     for r in _chunks(slice(0, n_frames), ANALYSIS_ROWS):
         C = buf[:r.stop - r.start] if out is None else out[r]
-        for rows, windows in groups:
-            a, b = max(r.start, rows.start), min(r.stop, rows.stop)
-            if a < b:
-                np.multiply(windows[a - rows.start:b - rows.start], p.window,
-                            out=frames[a - r.start:b - r.start, p.support])
+        lo, hi = start + r.start * hop, start + (r.stop - 1) * hop + win    # the chunk's samples
+        if 0 <= lo and hi <= n:
+            windows = inside[lo:hi - win + 1:hop]
+        else:    # samples lo to hi of the padded signal, zero past its reflect pad
+            seg = np.zeros(hi - lo)
+            a, b = min(max(lo, 0), n), min(max(hi, 0), n)    # an empty span if none lies in x
+            seg[a - lo:b - lo] = x[a:b]
+            edges = np.r_[lo:min(hi, 0), max(lo, n):min(hi, n + pad)]    # its reflect pad
+            seg[edges - lo] = x[_reflect(edges, n)]
+            windows = np.lib.stride_tricks.sliding_window_view(seg, win)[::hop]
         # an overflow is reported once, as a non-finite spectrogram
         with np.errstate(over="ignore", invalid="ignore"):
-            np.fft.rfft(frames[:r.stop - r.start], n=p.n_fft, axis=1, out=C)
+            _analyze(windows, p, frames, C)
             if out is None and not np.isfinite(C).all():
                 raise ValueError("spectrogram contains non-finite values")
         yield r, C

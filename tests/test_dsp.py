@@ -14,6 +14,7 @@ from glavoc.dsp import (
     ComplexSpectrogram,
     StftParams,
     Waveform,
+    _StftPlan,
     _reflect,
     hann_window,
     istft,
@@ -280,6 +281,14 @@ def test_uncentered_hann_edge_is_reported_degenerate():
     C = stft(Waveform(np.ones(9000)), p)
     with pytest.raises(ValueError, match="degenerate"):
         istft(C)
+
+
+def test_a_plan_for_a_degenerate_geometry_is_never_built():
+    # the normalizer is built with the plan, so the uncentered Hann, zero
+    # at the first output sample, fails at construction
+    p = StftParams(center_padding=False)
+    with pytest.raises(ValueError, match="degenerate synthesis normalization"):
+        _StftPlan(p, 9000, p.frames_for_length(9000))
 
 
 def test_istft_is_linear():

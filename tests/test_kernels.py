@@ -1,8 +1,9 @@
 """Plan-based framing, overlap-add and normalization against brute-force loops.
 
 The three loops below spell out the transforms sample by sample; the
-vectorised STFT plan must reproduce them on the default geometry and on
-the awkward ones: a hop that does not divide the window, an uncentered
+analysis kernel, read through strided views of the samples, and the
+synthesis plan must reproduce them on the default geometry and on the
+awkward ones: a hop that does not divide the window, an uncentered
 rectangular window, a signal shorter than the padding, a single sample.
 """
 
@@ -147,12 +148,15 @@ def reads_zero_tail(p, n):
     return last > n + 2 * p.pad_amount
 
 
-@pytest.mark.parametrize("rows", (3, 16))
+@pytest.mark.parametrize("rows", (1, 3, 16))
 @pytest.mark.parametrize("name", sorted(SPLIT_GEOMETRIES))
 def test_analysis_reads_the_samples_as_the_padded_reference(name, rows, monkeypatch):
-    # frames read straight from the samples, the reflect pad and the zero
-    # tail from small segments: the reference's bits at every length, for
-    # a strided, a reversed and a read-only view too, and the samples stay
+    # chunks inside the samples read them straight, chunks at either end
+    # one segment of the reflect pad, the samples and the zero tail: the
+    # reference's bits at every length, for a strided, a reversed and a
+    # read-only view too, and the samples stay.  At one row a chunk, every
+    # edge row is a segment of its own; at 1 sample the last of the default
+    # geometry's 4 rows lies wholly past the samples
     monkeypatch.setattr(dsp, "ANALYSIS_ROWS", rows)
     p = SPLIT_GEOMETRIES[name]
     rng = np.random.default_rng(rows)
@@ -176,6 +180,25 @@ def test_analysis_reads_the_samples_as_the_padded_reference(name, rows, monkeypa
             assert stft_magnitude(Waveform(view), p).tobytes() == \
                 stft_magnitude(Waveform(before), p).tobytes(), n
             assert np.array_equal(view, before)
+
+
+def test_analysis_gathers_only_the_edge_chunks(monkeypatch):
+    # a 5 s clip at the default geometry: the chunks whose supports lie
+    # inside the samples are read through the view, so only the one or two
+    # chunks at either end gather reflect-pad positions
+    calls = [0]
+    reflect = dsp._reflect
+
+    def counting(idx, n):
+        calls[0] += 1
+        return reflect(idx, n)
+
+    p = StftParams()
+    x = np.random.default_rng(5).standard_normal(5 * 22050)
+    expected = stft_magnitude(Waveform(x), p)
+    monkeypatch.setattr(dsp, "_reflect", counting)
+    assert np.array_equal(stft_magnitude(Waveform(x), p), expected)
+    assert 1 <= calls[0] <= 3
 
 
 def test_frame_signal_matches_brute_force():

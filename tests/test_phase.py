@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from signals import SPLIT_GEOMETRIES, harmonic_signal
 
 import glavoc.dsp as dsp
-from glavoc.dsp import ComplexSpectrogram, StftParams, Waveform, istft, stft
+from glavoc.dsp import ComplexSpectrogram, StftParams, Waveform, istft, stft, stft_magnitude
 from glavoc.phase import (
     GlaConfig,
     fgla,
@@ -526,6 +526,9 @@ def test_each_array_is_scanned_for_finiteness_once(monkeypatch):
 
     monkeypatch.setattr(np, "isfinite", counting)
     C = stft(y, P)
+    assert seen[0] == C.frames.size
+    seen[0] = 0
+    assert stft_magnitude(y, P).shape == C.frames.shape    # its chunks, each once
     assert seen[0] == C.frames.size
     seen[0] = 0
     out = istft(C)
